@@ -29,7 +29,7 @@ namespace {
 struct JointContext {
   JointContext(const SsjCorpus& corpus, const ConfigTree& tree,
                const JointOptions& options, JointResult& result, size_t q,
-               bool overlap_reuse, OverlapCache& cache, size_t num_threads)
+               bool overlap_reuse, OverlapCache& cache, ThreadPool& pool)
       : corpus(corpus),
         tree(tree),
         options(options),
@@ -37,7 +37,7 @@ struct JointContext {
         q(q),
         overlap_reuse(overlap_reuse),
         cache(cache),
-        num_threads(num_threads) {}
+        pool(pool) {}
 
   const SsjCorpus& corpus;
   const ConfigTree& tree;
@@ -46,7 +46,9 @@ struct JointContext {
   size_t q;
   bool overlap_reuse;
   OverlapCache& cache;
-  size_t num_threads;
+  // The executor's one pool: created before planning (the planner's probes
+  // run on it) and shared by the config tasks.
+  ThreadPool& pool;
   // Resolved shard count per config: options.shards_per_config, else the
   // planner's hint, else 0 (auto: min(num_threads, hardware)).
   size_t shards_per_config = 0;
@@ -167,7 +169,7 @@ void RunConfigPerTask(JointContext& ctx) {
     ctx.RecordTaskError(status);
   };
 
-  if (ctx.num_threads == 1) {
+  if (ctx.pool.num_threads() == 1) {
     // Sequential BFS (deterministic; every child sees a finished parent).
     // The task boundary matches the pool's: a throwing node is captured as
     // a Status and the remaining configs still run.
@@ -183,11 +185,10 @@ void RunConfigPerTask(JointContext& ctx) {
       }
     }
   } else {
-    ThreadPool pool(ctx.num_threads, "mc-joint");
     for (size_t i = 0; i < ctx.tree.size(); ++i) {
-      pool.Submit([&run_node, i] { run_node(i); }, record_task_error);
+      ctx.pool.Submit([&run_node, i] { run_node(i); }, record_task_error);
     }
-    pool.Wait();
+    ctx.pool.Wait();
   }
 }
 
@@ -216,7 +217,8 @@ void RunConfigPerTask(JointContext& ctx) {
 
 class TwoLevelExecutor {
  public:
-  TwoLevelExecutor(JointContext& ctx) : ctx_(ctx), nodes_(ctx.tree.size()) {
+  TwoLevelExecutor(JointContext& ctx)
+      : ctx_(ctx), pool_(ctx.pool), nodes_(ctx.tree.size()) {
     for (size_t i = 0; i < ctx_.tree.size(); ++i) {
       const int32_t parent = ctx_.tree.nodes[i].parent;
       if (parent >= 0) nodes_[static_cast<size_t>(parent)].children.push_back(i);
@@ -225,7 +227,7 @@ class TwoLevelExecutor {
                        ? ctx_.shards_per_config
                        : std::max<size_t>(
                              1, std::min<size_t>(
-                                    ctx_.num_threads,
+                                    ctx_.pool.num_threads(),
                                     std::max<size_t>(
                                         1, std::thread::hardware_concurrency())));
     // Topology decomposition: shard tasks are grouped into one contiguous
@@ -240,16 +242,12 @@ class TwoLevelExecutor {
   }
 
   void Run() {
-    pool_ = std::make_unique<ThreadPool>(
-        ctx_.num_threads,
-        ThreadPoolOptions{.name_prefix = "mc-joint", .topology_aware = true});
     for (size_t i = 0; i < ctx_.tree.size(); ++i) {
       if (ctx_.tree.nodes[i].parent < 0) {
-        pool_->Submit([this, i] { StartNode(i); });
+        pool_.Submit([this, i] { StartNode(i); });
       }
     }
-    pool_->Wait();
-    pool_.reset();
+    pool_.Wait();
   }
 
  private:
@@ -352,8 +350,8 @@ class TwoLevelExecutor {
       node.shard_stats.assign(shard_count_, TopKJoinStats{});
       node.shards_remaining.store(shard_count_, std::memory_order_relaxed);
       for (size_t s = 0; s < shard_count_; ++s) {
-        pool_->SubmitOnNode(static_cast<int>(GroupOfShard(s)),
-                            [this, index, s] { RunShardTask(index, s); });
+        pool_.SubmitOnNode(static_cast<int>(GroupOfShard(s)),
+                           [this, index, s] { RunShardTask(index, s); });
       }
     } catch (const std::exception& e) {
       ctx_.RecordTaskError(
@@ -507,7 +505,7 @@ class TwoLevelExecutor {
     node.publication.Publish(
         std::vector<ScoredPair>(ctx_.result.per_config[index].topk));
     for (size_t child : node.children) {
-      pool_->Submit([this, child] { StartNode(child); });
+      pool_.Submit([this, child] { StartNode(child); });
     }
   }
 
@@ -519,10 +517,10 @@ class TwoLevelExecutor {
   size_t GroupOfShard(size_t s) const { return s * groups_ / shard_count_; }
 
   JointContext& ctx_;
+  ThreadPool& pool_;
   std::vector<Node> nodes_;
   size_t shard_count_ = 1;
   size_t groups_ = 1;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace
@@ -546,9 +544,15 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   ConfigView root_view =
       corpus.MakeConfigView(tree.nodes[0].mask, options.view_mode);
   result.stages.view_seconds += root_view_watch.ElapsedSeconds();
-  Stopwatch q_watch;
   const size_t hardware =
       std::max<size_t>(1, std::thread::hardware_concurrency());
+  const size_t num_threads =
+      options.num_threads != 0 ? options.num_threads : hardware;
+  // One pool for the whole call: the planner's probes run on it first, then
+  // the config tasks.
+  ThreadPool pool(num_threads, ThreadPoolOptions{.name_prefix = "mc-joint",
+                                                 .topology_aware = true});
+  Stopwatch q_watch;
   if (q == 0) {
     if (options.q_selection == QSelection::kPlanner) {
       if (options.cached_plan != nullptr) {
@@ -564,8 +568,7 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
         planner_options.measure = options.measure;
         planner_options.exclude = options.exclude;
         planner_options.seed = options.planner_seed;
-        planner_options.max_shards =
-            options.num_threads != 0 ? options.num_threads : hardware;
+        planner_options.max_shards = num_threads;
         planner_options.enable_hybrid =
             options.planner_hybrid &&
             options.scheduler == JointScheduler::kTwoLevel;
@@ -574,7 +577,8 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
           planner_options.weights = options.calibrator->weights();
         }
         planner_options.run_context = options.run_context;
-        result.plan = PlanTopKJoin(corpus, root_view, planner_options);
+        result.plan =
+            PlanTopKJoin(corpus, root_view, planner_options, &pool);
       }
       result.planner_used = true;
       q = result.plan.q;
@@ -604,11 +608,8 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   result.overlap_cache_shards_used = cache_shards;
   OverlapCache cache(cache_shards);
 
-  const size_t num_threads =
-      options.num_threads != 0 ? options.num_threads : hardware;
-
   JointContext ctx(corpus, tree, options, result, q, overlap_reuse, cache,
-                   num_threads);
+                   pool);
   ctx.shards_per_config = options.shards_per_config;
   if (ctx.shards_per_config == 0 && result.planner_used &&
       !result.plan.truncated) {

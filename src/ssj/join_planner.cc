@@ -8,6 +8,7 @@
 #include "mem/topology.h"
 #include "ssj/topk_join.h"
 #include "ssj/topk_list.h"
+#include "util/thread_pool.h"
 
 namespace mc {
 
@@ -80,7 +81,7 @@ uint64_t PlannerSeedFromEnv() {
 }
 
 JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
-                      const PlannerOptions& options) {
+                      const PlannerOptions& options, ThreadPool* pool) {
   JoinPlan plan;
   const CorpusPlannerStats& stats = corpus.PlannerStats();
   plan.stats_generation = stats.generation;
@@ -125,23 +126,33 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   const size_t b_rate = std::min<size_t>(rate, view.rows_b());
   const size_t b_offset = offset % b_rate;
   std::vector<TopKJoinStats> probe_stats(max_q);
-  std::vector<TopKList> probe_lists;
-  probe_lists.reserve(max_q);
-  plan.cost_per_q.assign(max_q, 0.0);
   const size_t probe_k = ProbeK(options.k, rate);
-  for (size_t q = 1; q <= max_q; ++q) {
+  std::vector<TopKList> probe_lists(max_q, TopKList(probe_k));
+  plan.cost_per_q.assign(max_q, 0.0);
+  auto run_probe = [&](size_t q) {
     TopKJoinOptions probe;
     probe.k = probe_k;
     probe.measure = options.measure;
     probe.q = q;
     probe.exclude = options.exclude;
     probe.run_context = options.run_context;
-    probe_lists.push_back(RunTopKJoinShard(view, probe, offset, rate,
-                                           /*scorer=*/nullptr,
-                                           /*seed=*/nullptr,
-                                           &probe_stats[q - 1], b_offset,
-                                           b_rate));
-    if (probe_stats[q - 1].truncated) plan.truncated = true;
+    probe_lists[q - 1] = RunTopKJoinShard(view, probe, offset, rate,
+                                          /*scorer=*/nullptr,
+                                          /*seed=*/nullptr,
+                                          &probe_stats[q - 1], b_offset,
+                                          b_rate);
+  };
+  if (pool != nullptr && pool->num_threads() > 1) {
+    for (size_t q = 1; q <= max_q; ++q) {
+      pool->Submit([&run_probe, q] { run_probe(q); });
+    }
+    // A probe that threw leaves its counts unreliable: plan conservatively.
+    if (!pool->Wait().ok()) plan.truncated = true;
+  } else {
+    for (size_t q = 1; q <= max_q; ++q) run_probe(q);
+  }
+  for (const TopKJoinStats& probe : probe_stats) {
+    if (probe.truncated) plan.truncated = true;
   }
   // The q ladder is priced with the PINNED default weights, never the
   // calibrated fit: q is the one plan knob that changes which pairs are

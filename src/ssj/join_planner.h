@@ -12,6 +12,8 @@
 
 namespace mc {
 
+class ThreadPool;
+
 /// How a planned join executes. Every mode returns a bit-identical list —
 /// the mode moves work, never results (TopKJoinOptions::prefilter_threshold
 /// and RunThresholdJoin contracts).
@@ -161,8 +163,15 @@ uint64_t PlannerSeedFromEnv();
 /// under fixed per-operation weights. Deterministic for a fixed seed on a
 /// fixed corpus generation. See docs/algorithms.md §"Cost-based join
 /// planner".
+///
+/// The per-q probes are independent: with a `pool` of more than one worker
+/// they run as pool tasks (the call waits for them, so the pool must have
+/// no other work in flight), otherwise one after another on the calling
+/// thread. Each probe writes only its own slot, so the plan is identical
+/// either way.
 JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
-                      const PlannerOptions& options);
+                      const PlannerOptions& options,
+                      ThreadPool* pool = nullptr);
 
 }  // namespace mc
 

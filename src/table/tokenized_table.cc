@@ -12,6 +12,7 @@
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
+#include "util/flat_hash.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -687,7 +688,9 @@ std::shared_ptr<const TokenizedTable> TokenizedTable::BuildAndAttach(
 
 const TokenizedTable::QGramColumn* TokenizedTable::QGramsForColumn(
     size_t q, size_t column) const {
-  if (q == 0 || column >= num_columns_ || truncated_) return nullptr;
+  if (q == 0 || q > kMaxPackedGramQ || column >= num_columns_ || truncated_) {
+    return nullptr;
+  }
   const uint64_t key = (static_cast<uint64_t>(q) << 32) | column;
   {
     std::shared_lock<std::shared_mutex> lock(qgram_mutex_);
@@ -698,25 +701,36 @@ const TokenizedTable::QGramColumn* TokenizedTable::QGramsForColumn(
   auto it = qgram_cache_.find(key);
   if (it != qgram_cache_.end()) return it->second.get();
 
+  // Each gram packs into a uint64_t key, one byte per character (q <= 7
+  // keeps the key below PairFlatMap's all-ones sentinel). Ids go to grams in
+  // first-appearance order over the walk — side 0 then side 1, row order,
+  // left to right — the same ids QGrams()' distinct first-appearance lists
+  // would receive from a string-keyed map.
   auto built = std::make_unique<QGramColumn>();
-  std::unordered_map<std::string, uint32_t> gram_ids;
+  PairFlatMap<uint32_t> gram_ids;
+  std::string padded;
   std::vector<uint32_t> cell;
   for (size_t side = 0; side < 2; ++side) {
     built->offsets[side].reserve(rows_[side] + 1);
     built->offsets[side].push_back(0);
     for (size_t row = 0; row < rows_[side]; ++row) {
       cell.clear();
-      // QGrams(normalized) == QGrams(raw): QGrams' internal normalization
-      // (lowercase, non-alnum -> space, collapse) is idempotent over
-      // NormalizeForTokens output, so the pooled value suffices.
-      for (const std::string& gram :
-           QGrams(NormalizedValue(side, row, column), q)) {
-        const uint32_t next = static_cast<uint32_t>(gram_ids.size());
-        auto [gram_it, inserted] = gram_ids.emplace(gram, next);
-        (void)inserted;
-        cell.push_back(gram_it->second);
-      }
+      // The pooled NormalizeForTokens value yields the raw cell's grams:
+      // PadForQGrams' normalization (lowercase, non-alnum -> space,
+      // collapse) is idempotent over it.
+      ForEachQGram(NormalizedValue(side, row, column), q, &padded,
+                   [&](std::string_view gram) {
+                     uint64_t packed = 0;
+                     for (char c : gram) {
+                       packed = (packed << 8) | static_cast<unsigned char>(c);
+                     }
+                     bool inserted = false;
+                     cell.push_back(*gram_ids.FindOrInsert(
+                         packed, static_cast<uint32_t>(gram_ids.size()),
+                         &inserted));
+                   });
       std::sort(cell.begin(), cell.end());
+      cell.erase(std::unique(cell.begin(), cell.end()), cell.end());
       built->grams[side].insert(built->grams[side].end(), cell.begin(),
                                 cell.end());
       built->offsets[side].push_back(built->grams[side].size());

@@ -110,9 +110,16 @@ struct TextPlaneBuildStats {
 /// one plane is safely shared by both tables and all threads.
 class TokenizedTable {
  public:
+  /// Largest q a gram plane supports: a gram packs into a 64-bit key, one
+  /// byte per character. QGramsForColumn returns nullptr above it.
+  static constexpr size_t kMaxPackedGramQ = 7;
+
   /// Lazily built per-(q, column) gram plane: distinct q-gram ids of every
-  /// cell in the column (both sides), sorted ascending per cell. Gram ids
-  /// are local to this plane; only counts/overlaps are meaningful.
+  /// cell in the column (both sides), sorted ascending per cell. Ids are
+  /// pinned: a gram's id is its first-appearance index over QGrams() of
+  /// the cells, side 0 then side 1, rows in order — exactly what a
+  /// string-keyed first-appearance map over those lists assigns. Ids are
+  /// local to this plane (not comparable across planes or q values).
   struct QGramColumn {
     std::vector<uint64_t> offsets[2];  // rows(side) + 1 entries.
     std::vector<uint32_t> grams[2];
@@ -231,7 +238,8 @@ class TokenizedTable {
 
   /// The (q, column) gram plane, built on first use and cached (lazy:
   /// q-gram consumers touch few columns). Returns nullptr for q == 0,
-  /// out-of-range columns, or a truncated plane. Thread-safe.
+  /// q > kMaxPackedGramQ, out-of-range columns, or a truncated plane —
+  /// every consumer reads nullptr as "no plane". Thread-safe.
   const QGramColumn* QGramsForColumn(size_t q, size_t column) const;
 
   /// True when the build was cut short: some cells have empty token lists

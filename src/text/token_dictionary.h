@@ -2,6 +2,7 @@
 #define MATCHCATCHER_TEXT_TOKEN_DICTIONARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -25,7 +26,7 @@ class TokenDictionary {
 
   /// Returns the id of `token`, interning it if new.
   TokenId Intern(std::string_view token) {
-    auto it = ids_.find(std::string(token));
+    auto it = ids_.find(token);
     if (it != ids_.end()) return it->second;
     TokenId id = static_cast<TokenId>(tokens_.size());
     tokens_.emplace_back(token);
@@ -37,7 +38,7 @@ class TokenDictionary {
 
   /// Returns the id of `token` if already interned.
   std::optional<TokenId> Find(std::string_view token) const {
-    auto it = ids_.find(std::string(token));
+    auto it = ids_.find(token);
     if (it == ids_.end()) return std::nullopt;
     return it->second;
   }
@@ -106,7 +107,15 @@ class TokenDictionary {
   void FinalizeRanks();
 
  private:
-  std::unordered_map<std::string, TokenId> ids_;
+  // Transparent hash/equal: Intern/Find look up a string_view without
+  // materializing a std::string per call.
+  struct TokenHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view token) const {
+      return std::hash<std::string_view>{}(token);
+    }
+  };
+  std::unordered_map<std::string, TokenId, TokenHash, std::equal_to<>> ids_;
   std::vector<std::string> tokens_;
   std::vector<uint32_t> document_frequency_;
   std::vector<uint32_t> ranks_;

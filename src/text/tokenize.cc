@@ -44,38 +44,36 @@ std::vector<std::string> DistinctWordTokens(std::string_view text) {
   return tokens;
 }
 
-std::vector<std::string> QGrams(std::string_view text, size_t q) {
-  std::vector<std::string> grams;
-  if (q == 0) return grams;
-  // Normalize: lowercase, non-alphanumerics to single spaces, then pad.
-  std::string normalized;
-  normalized.reserve(text.size() + 2 * (q - 1));
-  normalized.append(q - 1, '#');
+bool PadForQGrams(std::string_view text, size_t q, std::string* padded) {
+  padded->clear();
+  if (q == 0) return false;
+  padded->append(q - 1, '#');
   bool last_was_space = true;
   bool has_content = false;
   for (char raw : text) {
     unsigned char c = static_cast<unsigned char>(raw);
     if (std::isalnum(c)) {
-      normalized.push_back(static_cast<char>(std::tolower(c)));
+      padded->push_back(static_cast<char>(std::tolower(c)));
       last_was_space = false;
       has_content = true;
     } else if (!last_was_space) {
-      normalized.push_back(' ');
+      padded->push_back(' ');
       last_was_space = true;
     }
   }
-  if (!has_content) return grams;
-  while (!normalized.empty() && normalized.back() == ' ') {
-    normalized.pop_back();
-  }
-  normalized.append(q - 1, '#');
-  if (normalized.size() < q) return grams;
+  if (!has_content) return false;
+  if (padded->back() == ' ') padded->pop_back();
+  padded->append(q - 1, '#');
+  return true;
+}
 
-  std::unordered_set<std::string> seen;
-  for (size_t i = 0; i + q <= normalized.size(); ++i) {
-    std::string gram = normalized.substr(i, q);
-    if (seen.insert(gram).second) grams.push_back(std::move(gram));
-  }
+std::vector<std::string> QGrams(std::string_view text, size_t q) {
+  std::vector<std::string> grams;
+  std::unordered_set<std::string_view> seen;
+  std::string padded;
+  ForEachQGram(text, q, &padded, [&](std::string_view gram) {
+    if (seen.insert(gram).second) grams.emplace_back(gram);
+  });
   return grams;
 }
 

@@ -42,7 +42,8 @@ struct ThreadPoolOptions {
 };
 
 /// Fixed-size worker pool with a FIFO task queue. Used by the joint top-k
-/// executor ("one config per core", paper §4.2) and the QJoin q-value race.
+/// executor ("one config per core", paper §4.2; the planner's q probes run
+/// on the same pool first) and the QJoin q-value race.
 ///
 /// ## Lifecycle
 ///

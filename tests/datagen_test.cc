@@ -1,3 +1,4 @@
+#include <ostream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -79,6 +80,10 @@ struct NamedDims {
   DatasetDims dims;
   size_t expected_attrs;
 };
+
+// Prints the dataset name. The default printer dumps the struct's raw bytes,
+// which include the address of `name`, so test names would change per run.
+void PrintTo(const NamedDims& param, std::ostream* os) { *os << param.name; }
 
 class GeneratorTest : public ::testing::TestWithParam<NamedDims> {};
 

@@ -8,8 +8,12 @@
 // MC_PLANNER_SEED / PlannerOptions::seed. Also pins satellite regressions:
 // corpus planner statistics are invalidated by SsjCorpus::ApplyDelta (the
 // generation bump), and the hybrid prefilter stays bit-identical through a
-// forced restart. Run under ASan by the ci.sh `planner` stage.
+// forced restart. The per-q probe ladder must plan identically on a worker
+// pool and on the calling thread. Run under ASan and TSan by the ci.sh
+// `planner` stage.
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -27,6 +31,7 @@
 #include "table/table.h"
 #include "table/table_delta.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace mc {
 namespace {
@@ -180,6 +185,36 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t{10}, size_t{40})),
     CaseName());
 
+// Bitwise: two doubles are the same plan evidence only if every bit agrees.
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+void ExpectSamePlan(const JoinPlan& got, const JoinPlan& want,
+                    const std::string& label) {
+  EXPECT_EQ(got.q, want.q) << label;
+  EXPECT_EQ(got.shards, want.shards) << label;
+  EXPECT_EQ(got.mode, want.mode) << label;
+  EXPECT_EQ(got.hybrid, want.hybrid) << label;
+  EXPECT_EQ(Bits(got.prefilter_threshold), Bits(want.prefilter_threshold))
+      << label;
+  EXPECT_EQ(Bits(got.sampled_kth), Bits(want.sampled_kth)) << label;
+  EXPECT_EQ(Bits(got.half_sample_kth), Bits(want.half_sample_kth)) << label;
+  EXPECT_EQ(Bits(got.threshold_prefix_fraction),
+            Bits(want.threshold_prefix_fraction))
+      << label;
+  EXPECT_EQ(got.sample_rate, want.sample_rate) << label;
+  EXPECT_EQ(got.sample_rows, want.sample_rows) << label;
+  EXPECT_EQ(got.stats_generation, want.stats_generation) << label;
+  EXPECT_EQ(got.seed, want.seed) << label;
+  EXPECT_EQ(got.est_events, want.est_events) << label;
+  EXPECT_EQ(got.est_scored, want.est_scored) << label;
+  EXPECT_EQ(got.truncated, want.truncated) << label;
+  ASSERT_EQ(got.cost_per_q.size(), want.cost_per_q.size()) << label;
+  for (size_t i = 0; i < got.cost_per_q.size(); ++i) {
+    EXPECT_EQ(Bits(got.cost_per_q[i]), Bits(want.cost_per_q[i]))
+        << label << " q " << i + 1;
+  }
+}
+
 // Plans are a pure function of (corpus generation, view, options): the same
 // seed must reproduce every decision and every piece of evidence.
 TEST(PlannerDeterminismTest, SameSeedSamePlan) {
@@ -191,23 +226,8 @@ TEST(PlannerDeterminismTest, SameSeedSamePlan) {
   PlannerOptions options;
   options.k = 25;
   options.seed = 1234;
-  const JoinPlan first = PlanTopKJoin(corpus, view, options);
-  const JoinPlan second = PlanTopKJoin(corpus, view, options);
-  EXPECT_EQ(first.q, second.q);
-  EXPECT_EQ(first.shards, second.shards);
-  EXPECT_EQ(first.hybrid, second.hybrid);
-  EXPECT_EQ(first.prefilter_threshold, second.prefilter_threshold);
-  EXPECT_EQ(first.sample_rate, second.sample_rate);
-  EXPECT_EQ(first.sample_rows, second.sample_rows);
-  EXPECT_EQ(first.sampled_kth, second.sampled_kth);
-  EXPECT_EQ(first.half_sample_kth, second.half_sample_kth);
-  EXPECT_EQ(first.seed, second.seed);
-  EXPECT_EQ(first.est_events, second.est_events);
-  EXPECT_EQ(first.est_scored, second.est_scored);
-  ASSERT_EQ(first.cost_per_q.size(), second.cost_per_q.size());
-  for (size_t i = 0; i < first.cost_per_q.size(); ++i) {
-    EXPECT_EQ(first.cost_per_q[i], second.cost_per_q[i]) << "q " << i + 1;
-  }
+  ExpectSamePlan(PlanTopKJoin(corpus, view, options),
+                 PlanTopKJoin(corpus, view, options), "same seed");
 }
 
 TEST(PlannerDeterminismTest, SeedResolvesFromEnvironment) {
@@ -232,6 +252,69 @@ TEST(PlannerDeterminismTest, SeedResolvesFromEnvironment) {
   options.seed = 5;
   EXPECT_EQ(PlanTopKJoin(corpus, view, options).seed, 5u);
   ASSERT_EQ(unsetenv("MC_PLANNER_SEED"), 0);
+}
+
+// The probe ladder on a 4-worker pool plans exactly what the sequential
+// ladder plans, for every measure and every seed of the ci.sh planner
+// stage's MC_PLANNER_SEED matrix.
+TEST(PlannerEquivalenceParallelTest, PoolLadderEqualsSequentialLadder) {
+  Rng rng(9300);
+  auto [a, b] = RandomTables(rng, 600);
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
+  ConfigView view = corpus.MakeConfigView(0b1);
+  ThreadPool pool(4, "mc-test");
+  for (SetMeasure measure :
+       {SetMeasure::kJaccard, SetMeasure::kCosine, SetMeasure::kDice,
+        SetMeasure::kOverlapCoefficient}) {
+    for (uint64_t seed : {uint64_t{42}, uint64_t{31337},
+                          uint64_t{909090909}}) {
+      PlannerOptions options;
+      options.k = 60;
+      options.measure = measure;
+      options.seed = seed;
+      options.max_shards = 4;
+      const JoinPlan sequential = PlanTopKJoin(corpus, view, options);
+      const JoinPlan pooled = PlanTopKJoin(corpus, view, options, &pool);
+      ASSERT_FALSE(sequential.truncated);
+      ASSERT_GT(sequential.cost_per_q.size(), 1u)
+          << "the ladder must have more than one probe to run in parallel";
+      ExpectSamePlan(pooled, sequential,
+                     "measure " +
+                         std::to_string(static_cast<int>(measure)) +
+                         " seed " + std::to_string(seed));
+    }
+  }
+}
+
+// A deadline that expires while the pooled probes run: the plan comes back
+// truncated with the conservative fallback, and the call returns only once
+// every probe has stopped, leaving the pool idle and reusable.
+TEST(PlannerEquivalenceParallelTest, CancelMidLadderFallsBack) {
+  Rng rng(9400);
+  auto [a, b] = RandomTables(rng, 2000);
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
+  ConfigView view = corpus.MakeConfigView(0b1);
+  ThreadPool pool(4, "mc-test");
+
+  PlannerOptions options;
+  options.k = 500;
+  options.seed = 42;
+  // Probe the full table so the ladder far outlasts the deadline.
+  options.sample_rate = 1;
+  options.run_context = RunContext::WithDeadline(5);
+  const JoinPlan plan = PlanTopKJoin(corpus, view, options, &pool);
+  EXPECT_TRUE(plan.truncated);
+  EXPECT_EQ(plan.q, 1u);
+  EXPECT_EQ(plan.shards, 1u);
+  EXPECT_FALSE(plan.hybrid);
+  EXPECT_EQ(plan.mode, JoinExecMode::kTopK);
+  EXPECT_LT(plan.prefilter_threshold, 0.0);
+
+  EXPECT_TRUE(pool.Wait().ok());
+  bool ran = false;
+  pool.Submit([&ran] { ran = true; });
+  EXPECT_TRUE(pool.Wait().ok());
+  EXPECT_TRUE(ran);
 }
 
 // Satellite regression: planner statistics are cached per corpus

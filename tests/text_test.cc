@@ -63,6 +63,10 @@ TEST(TokenizeTest, QGramsBasic) {
   EXPECT_EQ(grams[0], "#a");
   EXPECT_EQ(grams[1], "ab");
   EXPECT_EQ(grams[2], "b#");
+  // " Ab-ab! " -> "#ab ab#": punctuation runs become one space, the
+  // trailing one is dropped, and the repeated "ab" is listed once.
+  EXPECT_EQ(QGrams(" Ab-ab! ", 2),
+            (std::vector<std::string>{"#a", "ab", "b ", " a", "b#"}));
 }
 
 TEST(TokenizeTest, QGramsEmptyInput) {

@@ -4,7 +4,9 @@
 // byte-for-byte, across edge-case inputs, thread counts, and fault
 // injection.
 
+#include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,6 +159,47 @@ TEST(TokenizedTableTest, QGramPlanesMatchLegacyQGrams) {
   }
   EXPECT_EQ(plane->QGramsForColumn(0, 0), nullptr);
   EXPECT_EQ(plane->QGramsForColumn(3, 99), nullptr);
+}
+
+// Gram ids are pinned, not just overlaps: each id is the gram's
+// first-appearance index over QGrams() of the cells, side 0 then side 1, in
+// row order — what a string-keyed first-appearance map assigns.
+TEST(TokenizedTableTest, QGramIdsArePinnedToFirstAppearance) {
+  Table a = OneColumnTable({"", "   \t ", "!!--??..", "0123456789",
+                            "a", "ab", "aaaaaaaaaa", "abab abab abab",
+                            "Caf\xc3\xa9 na\xefve \xff\x80x",
+                            "Mixed CASE, mixed-case!", "x-y_z"});
+  Table b = OneColumnTable({"abcdefghijk", "\xe2\x82\xac 42 \xe2\x82\xac",
+                            "  leading and trailing  ", "a", "zz zz zz",
+                            "", "...", "1 2 3 4 5 6 7 8", "abab"});
+  auto plane = TokenizedTable::Build(a, b);
+  for (size_t q = 1; q <= TokenizedTable::kMaxPackedGramQ; ++q) {
+    const TokenizedTable::QGramColumn* grams = plane->QGramsForColumn(q, 0);
+    ASSERT_NE(grams, nullptr) << "q=" << q;
+    std::unordered_map<std::string, uint32_t> ids;
+    size_t side = 0;
+    for (const Table* table : {&a, &b}) {
+      for (size_t row = 0; row < table->num_rows(); ++row) {
+        std::vector<uint32_t> want;
+        for (const std::string& gram : QGrams(table->Value(row, 0), q)) {
+          auto it =
+              ids.emplace(gram, static_cast<uint32_t>(ids.size())).first;
+          want.push_back(it->second);
+        }
+        std::sort(want.begin(), want.end());
+        const CellSpan got = grams->Row(side, row);
+        EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want)
+            << "q=" << q << " side " << side << " row " << row;
+      }
+      ++side;
+    }
+    EXPECT_EQ(grams->dictionary_size, ids.size()) << "q=" << q;
+  }
+  // Packed keys hold at most kMaxPackedGramQ bytes; above it there is no
+  // plane, which every consumer reads as "tokenize from strings".
+  for (size_t q : {size_t{8}, size_t{9}, size_t{64}}) {
+    EXPECT_EQ(plane->QGramsForColumn(q, 0), nullptr) << "q=" << q;
+  }
 }
 
 TEST(TokenizedTableTest, AttachmentGuards) {

@@ -80,14 +80,17 @@ done
 # measures, k values, hybrid prefilter paths (done + forced restart), and
 # the joint executor's q = 0 dispatch — and the decisions themselves must be
 # deterministic per MC_PLANNER_SEED. ASan covers the sampling probes' view
-# lifetimes; the seed matrix moves the systematic-sample offset so different
-# table-A row subsets drive the cost model each run.
-echo "==== [planner] planner-vs-direct equivalence under ASan ===="
-for seed in 42 31337 909090909; do
-  echo "---- [planner] asan MC_PLANNER_SEED=${seed} ----"
-  MC_PLANNER_SEED="${seed}" ctest --test-dir "${build_root}/asan" \
-      --output-on-failure \
-      -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|JointPlanner'
+# lifetimes; TSan covers the probes running concurrently on the joint pool;
+# the seed matrix moves the systematic-sample offset so different table-A
+# row subsets drive the cost model each run.
+echo "==== [planner] planner-vs-direct equivalence under ASan + TSan ===="
+for config in asan tsan; do
+  for seed in 42 31337 909090909; do
+    echo "---- [planner] ${config} MC_PLANNER_SEED=${seed} ----"
+    MC_PLANNER_SEED="${seed}" ctest --test-dir "${build_root}/${config}" \
+        --output-on-failure \
+        -R 'PlannerEquivalence|PlannerDeterminism|PlannerStatsDelta|JointPlanner'
+  done
 done
 
 # Plan cache + threshold mode: threshold-join execution and cached-plan
@@ -201,5 +204,18 @@ python3 "${repo_root}/tools/validate_bench_json.py" \
     "${repo_root}/bench/BENCH_planner.json" \
     "${repo_root}/bench/BENCH_numa.json" \
     "${repo_root}/bench/BENCH_plancache.json"
+
+# End-to-end smoke: one short run of each perfbench workload, built from
+# this checkout into the CI build root. Every run checks its own outputs
+# (exact counts, CRCs, brute-force spot checks) and must exit 0. The cold
+# workloads always finish one whole round, so the shortest window suffices;
+# the service fails unless one full pass over its 8 pairs completes in the
+# window, which takes about 3 s on a 4-core machine.
+echo "==== [e2e-smoke] one short run per perfbench workload ===="
+for spec in cold-wa-4t:0.1 cold-mix-1t:0.1 service-warm-delta:5; do
+  echo "---- [e2e-smoke] ${spec%%:*} ----"
+  CARGO_TARGET_DIR="${build_root}/e2e" python3 "${repo_root}/perfbench/run.py" \
+      --workload "${spec%%:*}" --seed 1 --seconds "${spec##*:}" --trace 0
+done
 
 echo "==== all configurations passed ===="
