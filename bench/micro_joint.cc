@@ -5,20 +5,18 @@
 // `--json=PATH` runs a fixed music-style workload and emits a
 // machine-readable stage-timing record (corpus_build / view_build /
 // joint_execute / end_to_end); bench/BENCH_joint.json archives the
-// before/after pair of the scheduler PR, both produced by this binary:
-//
-//   before:  --scheduler=config_per_task --views=materialize --build-threads=1
-//   after:   defaults (two_level, zero-copy views, parallel build)
+// before/after pair of the scheduler PR. Its "before" arm (one task per
+// config, materialized views, full-tuple cache misses) has since been
+// deleted; the record's scheduler/view_mode/legacy_miss_path fields now
+// always hold the single remaining values (two_level, auto, false).
 //
 // Knobs: --engine=LABEL, --scale=F (default 0.02), --reps=N (default 3),
 // --k=N (default 200), --threads=N (default 8), --build-threads=N (default:
-// --threads), --scheduler=two_level|config_per_task,
-// --views=auto|materialize, --cache-shards=N (default 0 = auto), --q=N
-// (default 1).
+// --threads), --cache-shards=N (default 0 = auto), --q=N (default 1).
 //
-// The two-level record also re-runs the joint phase single-threaded and
-// reports whether the parallel output is bit-identical (the determinism
-// contract of docs/algorithms.md).
+// The record also re-runs the joint phase single-threaded and reports
+// whether the parallel output is bit-identical (the determinism contract of
+// docs/algorithms.md).
 
 #include <cstdio>
 #include <cstdlib>
@@ -56,9 +54,6 @@ struct BenchConfig {
   size_t cache_shards = 0;
   size_t q = 1;
   double reuse_trigger = 20.0;  // Paper's t; the A-G descriptions exceed it.
-  bool legacy_miss = false;     // Pre-PR miss path (full-tuple merges).
-  JointScheduler scheduler = JointScheduler::kTwoLevel;
-  SsjCorpus::ViewMode view_mode = SsjCorpus::ViewMode::kAuto;
 };
 
 // CRC-32 over every config's sorted list (pair ids + raw score bits), so
@@ -91,14 +86,11 @@ JointOptions MakeJointOptions(const BenchConfig& config) {
   options.k = config.k;
   options.q = config.q;
   options.num_threads = config.threads;
-  options.scheduler = config.scheduler;
-  options.view_mode = config.view_mode;
   options.overlap_cache_shards = config.cache_shards;
   // Product default: the paper's t = 20 trigger (music tuples are shorter,
   // so the overlap cache stays off). --reuse-trigger=0 forces it on for
   // cache-path sweeps.
   options.reuse_min_avg_tokens = config.reuse_trigger;
-  options.corpus_miss_path = config.legacy_miss;
   return options;
 }
 
@@ -140,7 +132,7 @@ int RunJsonBench(const BenchConfig& config) {
     Stopwatch view_watch;
     zero_copy_rows = materialized_rows = 0;
     for (const ConfigNode& node : tree.nodes) {
-      ConfigView view = corpus.MakeConfigView(node.mask, config.view_mode);
+      ConfigView view = corpus.MakeConfigView(node.mask);
       zero_copy_rows += view.zero_copy_rows();
       materialized_rows += view.materialized_rows();
     }
@@ -157,19 +149,15 @@ int RunJsonBench(const BenchConfig& config) {
   }
   const uint32_t checksum = JointChecksum(last_result);
 
-  // Determinism spot-check for the two-level scheduler: the parallel output
-  // must be bit-identical to a single-threaded run over the same corpus.
-  bool determinism_checked = false;
-  bool identical_to_single_thread = false;
-  if (config.scheduler == JointScheduler::kTwoLevel) {
-    SsjCorpus corpus =
-        SsjCorpus::Build(table_a, table_b, attributes->columns, build_options);
-    JointOptions single = MakeJointOptions(config);
-    single.num_threads = 1;
-    JointResult reference = RunJointTopKJoins(corpus, tree, single);
-    determinism_checked = true;
-    identical_to_single_thread = JointChecksum(reference) == checksum;
-  }
+  // Determinism spot-check: the parallel output must be bit-identical to a
+  // single-threaded run over the same corpus.
+  SsjCorpus reference_corpus =
+      SsjCorpus::Build(table_a, table_b, attributes->columns, build_options);
+  JointOptions single = MakeJointOptions(config);
+  single.num_threads = 1;
+  const bool identical_to_single_thread =
+      JointChecksum(RunJointTopKJoins(reference_corpus, tree, single)) ==
+      checksum;
 
   size_t pairs = 0, cache_hits = 0, cache_misses = 0, seeded = 0;
   size_t events_popped = 0, pairs_scored = 0;
@@ -208,13 +196,9 @@ int RunJsonBench(const BenchConfig& config) {
   json.KV("q", uint64_t{config.q});
   json.KV("threads", uint64_t{config.threads});
   json.KV("build_threads", uint64_t{build_threads});
-  json.KV("scheduler", config.scheduler == JointScheduler::kTwoLevel
-                           ? "two_level"
-                           : "config_per_task");
-  json.KV("view_mode", config.view_mode == SsjCorpus::ViewMode::kAuto
-                           ? "auto"
-                           : "materialize");
-  json.KV("legacy_miss_path", config.legacy_miss);
+  json.KV("scheduler", "two_level");
+  json.KV("view_mode", "auto");
+  json.KV("legacy_miss_path", false);
   json.KV("reuse_trigger", config.reuse_trigger);
   json.KV("repetitions", uint64_t{config.reps});
   json.EndObject();
@@ -246,14 +230,14 @@ int RunJsonBench(const BenchConfig& config) {
   char checksum_hex[16];
   std::snprintf(checksum_hex, sizeof(checksum_hex), "%08x", checksum);
   json.KV("topk_checksum", checksum_hex);
-  json.KV("determinism_checked", determinism_checked);
+  json.KV("determinism_checked", true);
   json.KV("identical_to_single_thread", identical_to_single_thread);
   json.EndObject();
   json.EndObject();
   out << "\n";
   std::printf("wrote %s (end_to_end best %.3fs, joint best %.3fs)\n",
               config.path.c_str(), end_to_end_stage.best, joint_stage.best);
-  if (determinism_checked && !identical_to_single_thread) {
+  if (!identical_to_single_thread) {
     std::fprintf(stderr,
                  "DETERMINISM VIOLATION: parallel output differs from the "
                  "single-threaded run\n");
@@ -295,24 +279,13 @@ int main(int argc, char** argv) {
       config.q = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value_of("--reuse-trigger=")) {
       config.reuse_trigger = std::atof(v);
-    } else if (arg == "--legacy-miss") {
-      config.legacy_miss = true;
-    } else if (const char* v = value_of("--scheduler=")) {
-      config.scheduler = std::string(v) == "config_per_task"
-                             ? mc::JointScheduler::kConfigPerTask
-                             : mc::JointScheduler::kTwoLevel;
-    } else if (const char* v = value_of("--views=")) {
-      config.view_mode = std::string(v) == "materialize"
-                             ? mc::SsjCorpus::ViewMode::kMaterialize
-                             : mc::SsjCorpus::ViewMode::kAuto;
     }
   }
   if (config.path.empty()) {
     std::fprintf(stderr,
                  "usage: micro_joint --json=PATH [--engine=L] [--scale=F] "
                  "[--reps=N] [--k=N] [--threads=N] [--build-threads=N] "
-                 "[--scheduler=two_level|config_per_task] "
-                 "[--views=auto|materialize] [--cache-shards=N] [--q=N]\n");
+                 "[--cache-shards=N] [--q=N]\n");
     return 2;
   }
   return mc::RunJsonBench(config);

@@ -1,8 +1,7 @@
 // Microbenchmark for the topology-aware placement plane: the same joint
-// top-k execution run under three forced topologies — a single fake node
-// (placement machinery on, no decomposition), a fake dual node (per-node
-// A-row windows, node-routed shard tasks, replicated seeds), and the
-// machine's real detected topology — with the bit-identity contract
+// top-k execution run under three forced topologies — a single fake node,
+// a fake dual node (the joint pool's workers grouped into two nodes), and
+// the machine's real detected topology — with the bit-identity contract
 // enforced across all of them. Placement moves bytes and threads, never
 // results: every placement's per-config lists must carry the same checksum
 // (the binary exits 1 otherwise, and tools/validate_bench_json.py

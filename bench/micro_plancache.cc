@@ -9,9 +9,7 @@
 // Output equality is enforced, not just reported: the run aborts (exit 1)
 // unless every session of both arms — cached-plan and fresh-planned —
 // produces the same per-config top-k checksum (identical_to_fresh, the
-// bit-identity contract of the plan cache). The calibrator feedback loop is
-// pinned off (MC_PLANNER_CALIBRATE=0) so both arms plan from identical
-// weights whatever ran earlier in the process.
+// bit-identity contract of the plan cache).
 //
 // `--json=PATH` emits the machine-readable record archived in
 // bench/BENCH_plancache.json and checked by tools/validate_bench_json.py.
@@ -217,10 +215,6 @@ int RunJsonBench(const JsonBenchConfig& config) {
 }  // namespace mc
 
 int main(int argc, char** argv) {
-  // Both arms must plan from identical cost weights, whatever joins this
-  // process (or a prior bench stage) already executed: pin the calibrator
-  // feedback loop off before any SessionManager reads the env.
-  ::setenv("MC_PLANNER_CALIBRATE", "0", 1);
   mc::JsonBenchConfig config;
   bool json_mode = false;
   for (int i = 1; i < argc; ++i) {

@@ -83,11 +83,10 @@ struct MatchCatcherOptions {
   std::function<void(const JointListsSnapshot&)> joint_sink;
   /// Cached execution plan for the joint phase (the service's cross-session
   /// plan cache). When set and the joint phase would run the cost planner
-  /// (joint.q == 0 under QSelection::kPlanner), the sampling probes are
-  /// skipped and this plan executes directly — bit-identical output to
-  /// planning fresh, because the planner is deterministic for a fixed
-  /// (seed, corpus generation, weights) and every plan executes to the same
-  /// canonical lists. The caller owns the invariant that the plan was
+  /// (joint.q == 0), the sampling probes are skipped and this plan
+  /// executes directly — bit-identical output to planning fresh, because
+  /// the planner is deterministic for a fixed (seed, corpus generation)
+  /// and every plan executes to the same canonical lists. The caller owns the invariant that the plan was
   /// computed on the same corpus generation and session configuration
   /// (SessionManager keys its cache by exactly that).
   std::shared_ptr<const JoinPlan> cached_plan;

@@ -63,19 +63,14 @@ bool SpanOverlapAbove(TokenSpan a, TokenSpan b, size_t required,
 
 }  // namespace
 
-CachingPairScorer::CachingPairScorer(const SsjCorpus* corpus,
-                                     const ConfigView* view, ConfigMask config,
-                                     SetMeasure measure, OverlapCache* cache,
-                                     bool write_enabled, bool corpus_miss_path)
-    : corpus_(corpus),
-      view_(view),
+CachingPairScorer::CachingPairScorer(const ConfigView* view, ConfigMask config,
+                                     SetMeasure measure,
+                                     const OverlapCache* cache)
+    : view_(view),
       config_(config),
       measure_(measure),
-      cache_(cache),
-      write_enabled_(write_enabled),
-      corpus_miss_path_(corpus_miss_path),
       snapshot_(cache->Size() * 2 + 64) {
-  cache_->ForEach([this](PairId pair, const CachedOverlap& overlap) {
+  cache->ForEach([this](PairId pair, const CachedOverlap& overlap) {
     bool inserted = false;
     *snapshot_.FindOrInsert(pair, &overlap, &inserted) = &overlap;
   });
@@ -89,10 +84,7 @@ double CachingPairScorer::Score(RowId row_a, RowId row_b) {
     overlap = OverlapCache::OverlapUnder(**cached, config_);
   } else {
     ++misses_;
-    overlap = corpus_miss_path_
-                  ? SsjCorpus::ConfigOverlap(corpus_->tuple_a(row_a),
-                                             corpus_->tuple_b(row_b), config_)
-                  : SpanOverlap(view_->a(row_a), view_->b(row_b));
+    overlap = SpanOverlap(view_->a(row_a), view_->b(row_b));
   }
   return SetSimilarityFromCounts(measure_, view_->a(row_a).size(),
                                  view_->b(row_b).size(), overlap);
@@ -111,30 +103,12 @@ bool CachingPairScorer::ScoreAbove(RowId row_a, RowId row_b, double threshold,
     return true;
   }
   ++misses_;
-  if (corpus_miss_path_) {
-    *score = SetSimilarityFromCounts(
-        measure_, a.size(), b.size(),
-        SsjCorpus::ConfigOverlap(corpus_->tuple_a(row_a),
-                                 corpus_->tuple_b(row_b), config_));
-    return true;
-  }
   const size_t required =
       RequiredOverlapFor(measure_, a.size(), b.size(), threshold);
   size_t overlap = 0;
   if (!SpanOverlapAbove(a, b, required, &overlap)) return false;
   *score = SetSimilarityFromCounts(measure_, a.size(), b.size(), overlap);
   return true;
-}
-
-void CachingPairScorer::NoteKept(RowId row_a, RowId row_b) {
-  if (!write_enabled_) return;
-  const PairId pair = MakePairId(row_a, row_b);
-  const CachedOverlap* stored = cache_->InsertWith(pair, [&] {
-    return OverlapCache::ComputeShared(corpus_->tuple_a(row_a),
-                                       corpus_->tuple_b(row_b));
-  });
-  bool inserted = false;
-  *snapshot_.FindOrInsert(pair, stored, &inserted) = stored;
 }
 
 }  // namespace mc

@@ -12,9 +12,6 @@
 #include "joint/caching_scorer.h"
 #include "joint/overlap_cache.h"
 #include "joint/parent_merge.h"
-#include "ssj/cost_calibrator.h"
-#include "mem/per_node_replica.h"
-#include "mem/topology.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
 #include "util/stopwatch.h"
@@ -24,183 +21,15 @@ namespace mc {
 
 namespace {
 
-// Everything both schedulers need, threaded through one struct instead of
-// a dozen lambda captures.
-struct JointContext {
-  JointContext(const SsjCorpus& corpus, const ConfigTree& tree,
-               const JointOptions& options, JointResult& result, size_t q,
-               bool overlap_reuse, OverlapCache& cache, ThreadPool& pool)
-      : corpus(corpus),
-        tree(tree),
-        options(options),
-        result(result),
-        q(q),
-        overlap_reuse(overlap_reuse),
-        cache(cache),
-        pool(pool) {}
-
-  const SsjCorpus& corpus;
-  const ConfigTree& tree;
-  const JointOptions& options;
-  JointResult& result;
-  size_t q;
-  bool overlap_reuse;
-  OverlapCache& cache;
-  // The executor's one pool: created before planning (the planner's probes
-  // run on it) and shared by the config tasks.
-  ThreadPool& pool;
-  // Resolved shard count per config: options.shards_per_config, else the
-  // planner's hint, else 0 (auto: min(num_threads, hardware)).
-  size_t shards_per_config = 0;
-  // Hybrid prefilter threshold for the root config (< 0 = off). Set only
-  // when the planner ran and decided for the hybrid mode.
-  double root_prefilter = -1.0;
-  // How the root config executes its threshold (kHybridPrefilter vs the
-  // heap-free kThreshold driver); kTopK when no hybrid plan applies.
-  JoinExecMode root_mode = JoinExecMode::kTopK;
-
-  std::mutex error_mutex;
-  void RecordTaskError(const Status& status) {
-    std::lock_guard<std::mutex> lock(error_mutex);
-    if (result.task_error.ok()) result.task_error = status;
-  }
-
-  TopKJoinOptions JoinOptions() const {
-    return JoinOptions(options.run_context);
-  }
-
-  /// Variant running the join under a derived context (the two-level
-  /// scheduler gives each config a child of the session context).
-  TopKJoinOptions JoinOptions(const RunContext& run_context) const {
-    TopKJoinOptions join_options;
-    join_options.k = options.k;
-    join_options.measure = options.measure;
-    join_options.q = q;
-    join_options.exclude = options.exclude;
-    join_options.merge_poll_period = options.merge_poll_period;
-    join_options.run_context = run_context;
-    return join_options;
-  }
-};
-
 // ---------------------------------------------------------------------------
-// Legacy scheduler (JointScheduler::kConfigPerTask): one monolithic task per
-// config, all submitted at once; children poll unfinished parents through
-// ParentMergeSource. Kept as the determinism pin's "old BFS path" and the
-// micro_joint ablation baseline.
-// ---------------------------------------------------------------------------
-
-void RunConfigPerTask(JointContext& ctx) {
-  std::vector<ParentPublication> states(ctx.tree.size());
-
-  auto run_node = [&](size_t node_index) {
-    const ConfigNode& node = ctx.tree.nodes[node_index];
-    ConfigJoinResult& out = ctx.result.per_config[node_index];
-    out.config = node.mask;
-    out.completed = false;  // Set true only when the join drains fully.
-    Stopwatch watch;
-
-    // MarkDone guarantees children polling this node never wait on a task
-    // that bailed out (cancelled or threw): every exit path publishes
-    // whatever list exists, even an empty one.
-    struct MarkDone {
-      ParentPublication* publication;
-      const std::vector<ScoredPair>* topk;
-      ~MarkDone() { publication->Publish(*topk); }
-    } mark_done{&states[node_index], &out.topk};
-
-    if (ctx.options.run_context.Cancelled()) {
-      return;  // Skipped entirely: deadline hit before this config started.
-    }
-    if (MC_FAULT_POINT("joint/run_node") == FaultKind::kThrow) {
-      throw std::runtime_error("injected fault: joint/run_node " +
-                               std::to_string(node_index));
-    }
-
-    Stopwatch view_watch;
-    ConfigView view = ctx.corpus.MakeConfigView(node.mask, ctx.options.view_mode);
-    out.view_seconds = view_watch.ElapsedSeconds();
-    out.average_tokens = view.average_tokens();
-
-    // Scorer: caching only when overlap reuse is on — constructing the
-    // caching scorer snapshots the shared cache, which is wasted work (and
-    // misleading hit/miss counters) when reuse is disabled. With reuse off
-    // the direct scorer runs and cache_hits/cache_misses stay 0.
-    DirectPairScorer direct(&view, ctx.options.measure);
-    std::unique_ptr<CachingPairScorer> caching;
-    PairScorer* scorer = &direct;
-    if (ctx.overlap_reuse) {
-      caching = std::make_unique<CachingPairScorer>(
-          &ctx.corpus, &view, node.mask, ctx.options.measure, &ctx.cache,
-          /*write_enabled=*/true, ctx.options.corpus_miss_path);
-      scorer = caching.get();
-    }
-
-    TopKJoinOptions join_options = ctx.JoinOptions();
-
-    // Top-k reuse: seed from a finished parent, else poll it mid-run.
-    std::vector<ScoredPair> seed;
-    const std::vector<ScoredPair>* seed_ptr = nullptr;
-    std::unique_ptr<ParentMergeSource> merge_source;
-    if (ctx.options.reuse_topk && node.parent >= 0) {
-      ParentPublication& parent = states[node.parent];
-      if (parent.done()) {
-        // Final and immutable: re-adjust straight from the published list.
-        seed = ReadjustToConfig(parent.result(), view, *scorer);
-        seed_ptr = &seed;
-        out.seeded_from_parent = true;
-      } else {
-        merge_source =
-            std::make_unique<ParentMergeSource>(&parent, &view, scorer);
-      }
-    }
-
-    TopKList topk = RunTopKJoin(view, join_options, scorer, seed_ptr,
-                                merge_source.get(), &out.stats);
-
-    out.topk = topk.SortedDescending();
-    out.seconds = watch.ElapsedSeconds();
-    out.cache_hits = caching != nullptr ? caching->cache_hits() : 0;
-    out.cache_misses = caching != nullptr ? caching->cache_misses() : 0;
-    out.completed = !out.stats.truncated;
-  };
-
-  auto record_task_error = [&](const Status& status) {
-    ctx.RecordTaskError(status);
-  };
-
-  if (ctx.pool.num_threads() == 1) {
-    // Sequential BFS (deterministic; every child sees a finished parent).
-    // The task boundary matches the pool's: a throwing node is captured as
-    // a Status and the remaining configs still run.
-    for (size_t i = 0; i < ctx.tree.size(); ++i) {
-      try {
-        run_node(i);
-      } catch (const std::exception& e) {
-        record_task_error(
-            Status::Internal(std::string("config task threw: ") + e.what()));
-      } catch (...) {
-        record_task_error(
-            Status::Internal("config task threw a non-std exception"));
-      }
-    }
-  } else {
-    for (size_t i = 0; i < ctx.tree.size(); ++i) {
-      ctx.pool.Submit([&run_node, i] { run_node(i); }, record_task_error);
-    }
-    ctx.pool.Wait();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Two-level scheduler (JointScheduler::kTwoLevel, the default).
+// Two-level executor.
 //
 // Level 1: configs are scheduled over the config tree parents-first — a
-// config's setup task is submitted only after its parent published its
-// final list, so every child seeds from a finished parent (no mid-run
-// polling, no idle spinning). Level 2: each config's join is decomposed
-// into table-A shard sub-joins (RunTopKJoinShard) that run as independent
-// pool tasks, so the machine stays busy even when few configs are ready.
+// config's setup task is submitted only after its parent wrote its final
+// list, so every child seeds from a finished parent (no mid-run polling, no
+// idle spinning). Level 2: each config's join is decomposed into table-A
+// shard sub-joins (RunTopKJoinShard) that run as independent pool tasks, so
+// the machine stays busy even when few configs are ready.
 //
 // Determinism: every shard list is the canonical top-k of its sub-space
 // under (score desc, pair asc), so the shard merge reproduces the
@@ -209,41 +38,51 @@ void RunConfigPerTask(JointContext& ctx) {
 // and scheduling interleaving.
 //
 // Liveness: every setup path — cancelled, faulted, or normal — ends in
-// PublishAndCascade, which publishes the (possibly empty) list and submits
-// the children's setups. No task ever blocks on another task, so a full
-// drain of the pool is guaranteed; a failed parent yields one incomplete
-// config, not an orphaned subtree.
+// Cascade, which submits the children's setups once the (possibly empty)
+// list is written. No task ever blocks on another task, so a full drain of
+// the pool is guaranteed; a failed parent yields one incomplete config, not
+// an orphaned subtree.
 // ---------------------------------------------------------------------------
 
 class TwoLevelExecutor {
  public:
-  TwoLevelExecutor(JointContext& ctx)
-      : ctx_(ctx), pool_(ctx.pool), nodes_(ctx.tree.size()) {
-    for (size_t i = 0; i < ctx_.tree.size(); ++i) {
-      const int32_t parent = ctx_.tree.nodes[i].parent;
+  TwoLevelExecutor(const SsjCorpus& corpus, const ConfigTree& tree,
+                   const JointOptions& options, JointResult& result, size_t q,
+                   bool overlap_reuse, OverlapCache& cache, ThreadPool& pool,
+                   size_t shards_per_config)
+      : corpus_(corpus),
+        tree_(tree),
+        options_(options),
+        result_(result),
+        q_(q),
+        overlap_reuse_(overlap_reuse),
+        cache_(cache),
+        pool_(pool),
+        nodes_(tree.size()) {
+    for (size_t i = 0; i < tree_.size(); ++i) {
+      const int32_t parent = tree_.nodes[i].parent;
       if (parent >= 0) nodes_[static_cast<size_t>(parent)].children.push_back(i);
     }
-    shard_count_ = ctx_.shards_per_config != 0
-                       ? ctx_.shards_per_config
+    shard_count_ = shards_per_config != 0
+                       ? shards_per_config
                        : std::max<size_t>(
                              1, std::min<size_t>(
-                                    ctx_.pool.num_threads(),
+                                    pool_.num_threads(),
                                     std::max<size_t>(
                                         1, std::thread::hardware_concurrency())));
-    // Topology decomposition: shard tasks are grouped into one contiguous
-    // table-A row window per NUMA node (the slice PlaceForTopology bound to
-    // that node), with the residue split applied inside each window. Every
-    // group task is routed to its node's workers. Single-node topologies
-    // give one group covering all rows — exactly the classic residue
-    // partition. Any disjoint decomposition merges to the same canonical
-    // list, so this moves memory traffic, never results.
-    groups_ = std::min(mem::SystemTopology::Get().num_nodes(), shard_count_);
-    if (groups_ == 0) groups_ = 1;
+  }
+
+  // Hybrid prefilter threshold for the root config (< 0 = off) and how the
+  // root executes it (kHybridPrefilter vs the heap-free kThreshold driver).
+  // Set only when the planner ran and decided for the hybrid mode.
+  void SetRootPlan(double prefilter, JoinExecMode mode) {
+    root_prefilter_ = prefilter;
+    root_mode_ = mode;
   }
 
   void Run() {
-    for (size_t i = 0; i < ctx_.tree.size(); ++i) {
-      if (ctx_.tree.nodes[i].parent < 0) {
+    for (size_t i = 0; i < tree_.size(); ++i) {
+      if (tree_.nodes[i].parent < 0) {
         pool_.Submit([this, i] { StartNode(i); });
       }
     }
@@ -252,17 +91,12 @@ class TwoLevelExecutor {
 
  private:
   struct Node {
-    ParentPublication publication;
     std::vector<size_t> children;
     // Setup products; alive from StartNode until FinishNode (shard tasks
     // reference them).
     ConfigView view;
     std::vector<std::unique_ptr<CachingPairScorer>> scorers;  // Per shard.
     std::vector<ScoredPair> seed;
-    // Per-node copies of the seed: every shard task of a config reads the
-    // seed list, so the replicas keep that hot read-only structure off a
-    // single node's memory controller. One copy on single-node topologies.
-    mem::PerNodeReplica<std::vector<ScoredPair>> seed_replicas;
     bool use_seed = false;
     std::vector<TopKList> shard_lists;
     std::vector<TopKJoinStats> shard_stats;
@@ -275,19 +109,25 @@ class TwoLevelExecutor {
     Stopwatch watch;
   };
 
+  void RecordTaskError(const Status& status) {
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    if (result_.task_error.ok()) result_.task_error = status;
+  }
+
   // Node-ready step: build the view and scorers, re-adjust the parent's
-  // published list into the seed, and fan the config out into shard tasks.
+  // final list into the seed, and fan the config out into shard tasks.
   void StartNode(size_t index) {
     Node& node = nodes_[index];
-    const ConfigNode& tree_node = ctx_.tree.nodes[index];
-    ConfigJoinResult& out = ctx_.result.per_config[index];
+    const ConfigNode& tree_node = tree_.nodes[index];
+    ConfigJoinResult& out = result_.per_config[index];
     node.watch.Reset();
     out.config = tree_node.mask;
     out.completed = false;
+    bool run_last_shard = false;
     try {
-      if (ctx_.options.run_context.Cancelled()) {
+      if (options_.run_context.Cancelled()) {
         // Skipped entirely; children still cascade (and skip too).
-        PublishAndCascade(index);
+        Cascade(index);
         return;
       }
       if (MC_FAULT_POINT("joint/run_node") == FaultKind::kThrow) {
@@ -296,74 +136,69 @@ class TwoLevelExecutor {
       }
 
       Stopwatch view_watch;
-      node.view =
-          ctx_.corpus.MakeConfigView(tree_node.mask, ctx_.options.view_mode);
+      node.view = corpus_.MakeConfigView(tree_node.mask);
       out.view_seconds = view_watch.ElapsedSeconds();
-      out.average_tokens = node.view.average_tokens();
       out.shards_used = shard_count_;
 
       // Per-shard caching scorers: CachingPairScorer is single-threaded
       // (local snapshot + counters), so each shard gets its own instance
       // over the shared concurrent cache. Snapshots taken here — after the
-      // parent finished — already contain every ancestor's kept pairs.
-      // Writes are disabled on the hot path: the legacy engine pays a
-      // ComputeShared (full-tuple merge + allocation) for every pair that
-      // *enters* a top-k list, including the many later evicted; the
-      // two-level scheduler instead writes the k pairs that actually
-      // survived, once, at config completion (FinishNode) — which is all a
-      // child's snapshot can observe anyway, since children start only
-      // after the parent published.
-      if (ctx_.overlap_reuse) {
+      // parent finished — already contain every ancestor's kept pairs. The
+      // scorers only read: FinishNode writes the k pairs that survived,
+      // once, which is all a child's snapshot can observe anyway, since
+      // children start only after the parent finished.
+      if (overlap_reuse_) {
         node.scorers.reserve(shard_count_);
         for (size_t s = 0; s < shard_count_; ++s) {
           node.scorers.push_back(std::make_unique<CachingPairScorer>(
-              &ctx_.corpus, &node.view, tree_node.mask, ctx_.options.measure,
-              &ctx_.cache, /*write_enabled=*/false,
-              ctx_.options.corpus_miss_path));
+              &node.view, tree_node.mask, options_.measure, &cache_));
         }
       }
 
-      // Parents-first guarantee: the parent published before this task was
-      // submitted, so the seed is always available — children never poll.
-      if (ctx_.options.reuse_topk && tree_node.parent >= 0) {
-        const ParentPublication& parent =
-            nodes_[static_cast<size_t>(tree_node.parent)].publication;
+      // Parents-first guarantee: the parent's final list was written before
+      // this task was submitted, so it is read in place — no copy, no
+      // polling.
+      if (options_.reuse_topk && tree_node.parent >= 0) {
+        const std::vector<ScoredPair>& parent =
+            result_.per_config[static_cast<size_t>(tree_node.parent)].topk;
         if (!node.scorers.empty()) {
-          node.seed =
-              ReadjustToConfig(parent.result(), node.view, *node.scorers[0]);
+          node.seed = ReadjustToConfig(parent, node.view, *node.scorers[0]);
         } else {
-          DirectPairScorer direct(&node.view, ctx_.options.measure);
-          node.seed = ReadjustToConfig(parent.result(), node.view, direct);
+          DirectPairScorer direct(&node.view, options_.measure);
+          node.seed = ReadjustToConfig(parent, node.view, direct);
         }
         node.use_seed = true;
         out.seeded_from_parent = true;
       }
-      if (node.use_seed && groups_ > 1) {
-        node.seed_replicas.Fill(node.seed, groups_);
-      }
 
-      node.context = RunContext::WithParent(ctx_.options.run_context);
+      node.context = RunContext::WithParent(options_.run_context);
       node.shard_lists.reserve(shard_count_);
       for (size_t s = 0; s < shard_count_; ++s) {
-        node.shard_lists.emplace_back(ctx_.options.k);
+        node.shard_lists.emplace_back(options_.k);
       }
       node.shard_stats.assign(shard_count_, TopKJoinStats{});
       node.shards_remaining.store(shard_count_, std::memory_order_relaxed);
-      for (size_t s = 0; s < shard_count_; ++s) {
-        pool_.SubmitOnNode(static_cast<int>(GroupOfShard(s)),
-                           [this, index, s] { RunShardTask(index, s); });
+      for (size_t s = 0; s + 1 < shard_count_; ++s) {
+        pool_.Submit([this, index, s] { RunShardTask(index, s); });
       }
+      run_last_shard = true;
     } catch (const std::exception& e) {
-      ctx_.RecordTaskError(
+      RecordTaskError(
           Status::Internal(std::string("config task threw: ") + e.what()));
       node.failed.store(true, std::memory_order_relaxed);
-      PublishAndCascade(index);
+      Cascade(index);
     } catch (...) {
-      ctx_.RecordTaskError(
+      RecordTaskError(
           Status::Internal("config task threw a non-std exception"));
       node.failed.store(true, std::memory_order_relaxed);
-      PublishAndCascade(index);
+      Cascade(index);
     }
+    // The setup task runs the config's last shard itself, outside the try:
+    // the shard task handles its own failures. The config then starts
+    // joining at once instead of queueing behind the sibling setups already
+    // in the FIFO, so setups do not pile up views, scorer snapshots and
+    // seeds for configs that cannot run yet.
+    if (run_last_shard) RunShardTask(index, shard_count_ - 1);
   }
 
   void RunShardTask(size_t index, size_t s) {
@@ -376,18 +211,26 @@ class TwoLevelExecutor {
       }
       PairScorer* scorer =
           node.scorers.empty() ? nullptr : node.scorers[s].get();
-      TopKJoinOptions join_options = ctx_.JoinOptions(node.context);
+      TopKJoinOptions join_options;
+      join_options.k = options_.k;
+      join_options.measure = options_.measure;
+      join_options.q = q_;
+      join_options.exclude = options_.exclude;
+      join_options.run_context = node.context;
       // Hybrid prefilter, planned for the root config only (the planner
       // sampled the root view) and only in single-shard form: a shard
       // sub-space's k-th score can sit below the full-space bound the
       // sample provides, which would force per-shard restarts.
-      if (index == 0 && node.shard_lists.size() == 1 && !node.use_seed) {
-        join_options.prefilter_threshold = ctx_.root_prefilter;
+      if (index == 0 && node.shard_lists.size() == 1 && !node.use_seed &&
+          root_prefilter_ >= 0.0) {
+        join_options.prefilter_threshold = root_prefilter_;
+        ConfigJoinResult& out = result_.per_config[index];
+        out.mode = root_mode_;
+        out.prefilter_threshold = root_prefilter_;
         // Threshold-mode dispatch: the plan's fixed bound runs the
         // heap-free driver instead of the prefiltered event engine. Same
         // gate, same accept-or-restart contract, bit-identical output.
-        if (ctx_.root_mode == JoinExecMode::kThreshold &&
-            ctx_.root_prefilter >= 0.0) {
+        if (root_mode_ == JoinExecMode::kThreshold) {
           node.shard_lists[s] = RunThresholdJoin(node.view, join_options,
                                                  scorer, /*seed=*/nullptr,
                                                  &node.shard_stats[s]);
@@ -398,27 +241,11 @@ class TwoLevelExecutor {
           return;
         }
       }
-      // Topology decomposition of the global shard id: group g owns the
-      // contiguous A-row window PlaceForTopology bound to NUMA node g, and
-      // the residue split runs inside that window. groups_ == 1 degenerates
-      // to the classic full-window residue partition (r == s, window == A).
-      const size_t g = GroupOfShard(s);
-      const size_t r = s - GroupBegin(g);
-      const size_t group_count = GroupBegin(g + 1) - GroupBegin(g);
-      const size_t rows_a = node.view.rows_a();
-      const size_t a_begin = g * rows_a / groups_;
-      const size_t a_end = (g + 1) * rows_a / groups_;
-      const std::vector<ScoredPair>* seed = nullptr;
-      if (node.use_seed) {
-        seed = node.seed_replicas.empty() ? &node.seed
-                                          : &node.seed_replicas.Get(g);
-      }
       node.shard_lists[s] = RunTopKJoinShard(
-          node.view, join_options, r, group_count, scorer, seed,
-          &node.shard_stats[s], /*b_shard=*/0, /*b_shard_count=*/1, a_begin,
-          a_end);
+          node.view, join_options, s, shard_count_, scorer,
+          node.use_seed ? &node.seed : nullptr, &node.shard_stats[s]);
     } catch (const std::exception& e) {
-      ctx_.RecordTaskError(
+      RecordTaskError(
           Status::Internal(std::string("config task threw: ") + e.what()));
       node.failed.store(true, std::memory_order_relaxed);
       node.shard_stats[s].truncated = true;
@@ -426,7 +253,7 @@ class TwoLevelExecutor {
       // poll instead of letting them run the join to completion.
       node.context.Cancel();
     } catch (...) {
-      ctx_.RecordTaskError(
+      RecordTaskError(
           Status::Internal("config task threw a non-std exception"));
       node.failed.store(true, std::memory_order_relaxed);
       node.shard_stats[s].truncated = true;
@@ -441,12 +268,12 @@ class TwoLevelExecutor {
 
   // Runs on the worker that finished the config's last shard: merge the
   // shard lists deterministically, finalize the per-config result, release
-  // the setup products, publish, and cascade the children.
+  // the setup products, and cascade the children.
   void FinishNode(size_t index) {
     Node& node = nodes_[index];
-    ConfigJoinResult& out = ctx_.result.per_config[index];
+    ConfigJoinResult& out = result_.per_config[index];
 
-    TopKList merged(ctx_.options.k);
+    TopKList merged(options_.k);
     for (const TopKList& list : node.shard_lists) {
       for (const ScoredPair& entry : list.Entries()) {
         merged.Add(entry.pair, entry.score);
@@ -458,7 +285,6 @@ class TwoLevelExecutor {
       out.stats.pairs_scored += stats.pairs_scored;
       out.stats.pairs_pruned += stats.pairs_pruned;
       out.stats.tokens_indexed += stats.tokens_indexed;
-      out.stats.merges_applied += stats.merges_applied;
       out.stats.prefilter_restarts += stats.prefilter_restarts;
       out.stats.truncated = out.stats.truncated || stats.truncated;
     }
@@ -467,16 +293,16 @@ class TwoLevelExecutor {
       out.cache_misses += scorer->cache_misses();
     }
     out.topk = merged.SortedDescending();
-    // Deferred cache writes: publish the overlap structure of the pairs
-    // that survived the merge — exactly what descendants' snapshots will
+    // Cache writes: publish the overlap structure of the pairs that
+    // survived the merge — exactly what descendants' snapshots will
     // re-score. Insert-only, first writer wins, so pairs already published
     // by an ancestor skip the ComputeShared entirely.
     if (!node.scorers.empty()) {
       for (const ScoredPair& entry : out.topk) {
-        ctx_.cache.InsertWith(entry.pair, [&] {
+        cache_.InsertWith(entry.pair, [&] {
           return OverlapCache::ComputeShared(
-              ctx_.corpus.tuple_a(PairRowA(entry.pair)),
-              ctx_.corpus.tuple_b(PairRowB(entry.pair)));
+              corpus_.tuple_a(PairRowA(entry.pair)),
+              corpus_.tuple_b(PairRowB(entry.pair)));
         });
       }
     }
@@ -490,37 +316,36 @@ class TwoLevelExecutor {
     node.view = ConfigView();
     node.seed.clear();
     node.seed.shrink_to_fit();
-    node.seed_replicas = mem::PerNodeReplica<std::vector<ScoredPair>>();
     node.shard_lists.clear();
     node.shard_stats.clear();
 
-    PublishAndCascade(index);
+    Cascade(index);
   }
 
-  // Every setup/finish path ends here exactly once per node: publish the
-  // (possibly empty) final list for the children to seed from, then submit
-  // their setup tasks.
-  void PublishAndCascade(size_t index) {
-    Node& node = nodes_[index];
-    node.publication.Publish(
-        std::vector<ScoredPair>(ctx_.result.per_config[index].topk));
-    for (size_t child : node.children) {
+  // Every setup/finish path ends here exactly once per node, after the
+  // node's (possibly empty) final list is written: submit the children's
+  // setup tasks, which read that list as their seed.
+  void Cascade(size_t index) {
+    for (size_t child : nodes_[index].children) {
       pool_.Submit([this, child] { StartNode(child); });
     }
   }
 
-  // First global shard id owned by group g; group g owns ids
-  // [GroupBegin(g), GroupBegin(g + 1)). Inverse of GroupOfShard.
-  size_t GroupBegin(size_t g) const {
-    return (g * shard_count_ + groups_ - 1) / groups_;
-  }
-  size_t GroupOfShard(size_t s) const { return s * groups_ / shard_count_; }
-
-  JointContext& ctx_;
+  const SsjCorpus& corpus_;
+  const ConfigTree& tree_;
+  const JointOptions& options_;
+  JointResult& result_;
+  const size_t q_;
+  const bool overlap_reuse_;
+  OverlapCache& cache_;
+  // The executor's one pool: created before planning (the planner's probes
+  // run on it) and shared by the config tasks.
   ThreadPool& pool_;
   std::vector<Node> nodes_;
   size_t shard_count_ = 1;
-  size_t groups_ = 1;
+  double root_prefilter_ = -1.0;
+  JoinExecMode root_mode_ = JoinExecMode::kTopK;
+  std::mutex error_mutex_;
 };
 
 }  // namespace
@@ -529,20 +354,15 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
                               const JointOptions& options) {
   MC_CHECK_GT(tree.size(), 0u);
   Stopwatch total_watch;
-  // Bind the corpus's per-node A-row slices before the join touches them
-  // (advisory: no-op / fallback-counted on single-node, fake, or bind-less
-  // systems; never affects results).
-  corpus.PlaceForTopology();
   JointResult result;
   result.per_config.resize(tree.size());
 
-  // Decide the plan (q, shard hint, hybrid prefilter) on the root config —
-  // by the cost-based planner (the default) or the legacy q race. Both
-  // respect the run context, so a deadline also bounds this warm-up phase.
+  // Decide the plan (q, shard hint, hybrid prefilter) on the root config
+  // with the cost-based planner. It respects the run context, so a deadline
+  // also bounds this warm-up phase.
   size_t q = options.q;
   Stopwatch root_view_watch;
-  ConfigView root_view =
-      corpus.MakeConfigView(tree.nodes[0].mask, options.view_mode);
+  ConfigView root_view = corpus.MakeConfigView(tree.nodes[0].mask);
   result.stages.view_seconds += root_view_watch.ElapsedSeconds();
   const size_t hardware =
       std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -554,39 +374,25 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
                                                  .topology_aware = true});
   Stopwatch q_watch;
   if (q == 0) {
-    if (options.q_selection == QSelection::kPlanner) {
-      if (options.cached_plan != nullptr) {
-        // Cross-session plan cache hit: skip the sampling probes entirely.
-        // The caller guarantees the plan was computed by PlanTopKJoin on an
-        // identical corpus generation/config signature, so executing it is
-        // bit-identical to planning fresh (the planner is deterministic).
-        result.plan = *options.cached_plan;
-        result.plan_from_cache = true;
-      } else {
-        PlannerOptions planner_options;
-        planner_options.k = options.k;
-        planner_options.measure = options.measure;
-        planner_options.exclude = options.exclude;
-        planner_options.seed = options.planner_seed;
-        planner_options.max_shards = num_threads;
-        planner_options.enable_hybrid =
-            options.planner_hybrid &&
-            options.scheduler == JointScheduler::kTwoLevel;
-        planner_options.enable_threshold = options.planner_threshold;
-        if (options.calibrator != nullptr) {
-          planner_options.weights = options.calibrator->weights();
-        }
-        planner_options.run_context = options.run_context;
-        result.plan =
-            PlanTopKJoin(corpus, root_view, planner_options, &pool);
-      }
-      result.planner_used = true;
-      q = result.plan.q;
+    if (options.cached_plan != nullptr) {
+      // Cross-session plan cache hit: skip the sampling probes entirely.
+      // The caller guarantees the plan was computed by PlanTopKJoin on an
+      // identical corpus generation/config signature, so executing it is
+      // bit-identical to planning fresh (the planner is deterministic).
+      result.plan = *options.cached_plan;
+      result.plan_from_cache = true;
     } else {
-      size_t max_q = 4;
-      q = SelectQByRace(root_view, options.measure, options.exclude, max_q,
-                        /*probe_k=*/50, options.run_context);
+      PlannerOptions planner_options;
+      planner_options.k = options.k;
+      planner_options.measure = options.measure;
+      planner_options.exclude = options.exclude;
+      planner_options.seed = options.planner_seed;
+      planner_options.max_shards = num_threads;
+      planner_options.run_context = options.run_context;
+      result.plan = PlanTopKJoin(corpus, root_view, planner_options, &pool);
     }
+    result.planner_used = true;
+    q = result.plan.q;
   }
   result.q_used = q;
   result.stages.q_select_seconds = q_watch.ElapsedSeconds();
@@ -608,38 +414,28 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   result.overlap_cache_shards_used = cache_shards;
   OverlapCache cache(cache_shards);
 
-  JointContext ctx(corpus, tree, options, result, q, overlap_reuse, cache,
-                   pool);
-  ctx.shards_per_config = options.shards_per_config;
-  if (ctx.shards_per_config == 0 && result.planner_used &&
+  size_t shards_per_config = options.shards_per_config;
+  if (shards_per_config == 0 && result.planner_used &&
       !result.plan.truncated) {
-    ctx.shards_per_config = result.plan.shards;
+    shards_per_config = result.plan.shards;
   }
+  TwoLevelExecutor executor(corpus, tree, options, result, q, overlap_reuse,
+                            cache, pool, shards_per_config);
   if (result.planner_used && result.plan.hybrid) {
-    ctx.root_prefilter = result.plan.prefilter_threshold;
-    ctx.root_mode = result.plan.mode;
+    executor.SetRootPlan(result.plan.prefilter_threshold, result.plan.mode);
   }
-
-  if (options.scheduler == JointScheduler::kConfigPerTask) {
-    RunConfigPerTask(ctx);
-  } else {
-    TwoLevelExecutor(ctx).Run();
-  }
+  executor.Run();
 
   result.plan_decisions.reserve(tree.size());
-  for (size_t i = 0; i < tree.size(); ++i) {
-    const ConfigJoinResult& config = result.per_config[i];
+  for (const ConfigJoinResult& config : result.per_config) {
     ConfigPlanDecision decision;
     decision.config = config.config;
     decision.q = q;
     decision.shards = config.shards_used;
     decision.seeded_from_parent = config.seeded_from_parent;
-    decision.hybrid = i == 0 && ctx.root_prefilter >= 0.0 &&
-                      options.scheduler == JointScheduler::kTwoLevel &&
-                      config.shards_used == 1 && !config.seeded_from_parent;
-    decision.prefilter_threshold =
-        decision.hybrid ? ctx.root_prefilter : -1.0;
-    decision.mode = decision.hybrid ? ctx.root_mode : JoinExecMode::kTopK;
+    decision.hybrid = config.mode != JoinExecMode::kTopK;
+    decision.prefilter_threshold = config.prefilter_threshold;
+    decision.mode = config.mode;
     result.plan_decisions.push_back(decision);
   }
 
@@ -652,25 +448,6 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   // A corpus cut short mid-build (deadline/fault during tokenization) makes
   // every per-config list best-so-far, not exact.
   if (corpus.truncated()) result.truncated = true;
-  // Online calibration feedback: every completed config reports the same
-  // operation counts the cost model prices, plus its observed join time.
-  // Node order is fixed, so the observation sequence is deterministic for a
-  // given run shape (the calibrator's determinism contract is sequence-in,
-  // weights-out; wall times naturally vary across machines).
-  if (options.calibrator != nullptr) {
-    for (const ConfigJoinResult& config : result.per_config) {
-      if (!config.completed) continue;
-      CostObservation observation;
-      observation.events = config.stats.events_popped;
-      observation.probes =
-          config.stats.pairs_pruned + config.stats.pairs_scored;
-      observation.scored = config.stats.pairs_scored;
-      observation.mean_tokens = config.average_tokens;
-      observation.seconds =
-          std::max(0.0, config.seconds - config.view_seconds);
-      options.calibrator->Record(observation);
-    }
-  }
   result.total_seconds = total_watch.ElapsedSeconds();
   return result;
 }

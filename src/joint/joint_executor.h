@@ -15,83 +15,33 @@
 
 namespace mc {
 
-class CostModelCalibrator;
-
-/// How RunJointTopKJoins schedules the per-config joins.
-enum class JointScheduler {
-  /// Two-level scheduler (the default): configs are scheduled
-  /// parents-first over the config tree, and each config is decomposed
-  /// into table-A shard sub-joins that run as independent pool tasks. A
-  /// child starts only after its parent published its final list, so every
-  /// child seeds from a finished parent (no polling); the per-shard top-k
-  /// lists merge deterministically (each shard list is canonical under
-  /// (score desc, pair asc)), making the output bit-identical to the
-  /// sequential BFS run for every thread count and shard count.
-  kTwoLevel,
-  /// Legacy scheduler: one monolithic task per config, all submitted at
-  /// once; children poll unfinished parents via ParentMergeSource. Kept
-  /// for the determinism pin (old-vs-new) and the micro_joint ablation.
-  kConfigPerTask,
-};
-
-/// How the execution plan (q, shard hint, hybrid prefilter) is chosen when
-/// JointOptions::q == 0.
-enum class QSelection {
-  /// Cost-based planner (src/ssj/join_planner.h, the default): sampled
-  /// probe joins on the root view pick q by extrapolated operation counts,
-  /// plus a shard hint and the hybrid threshold/top-k prefilter. No loser
-  /// work is discarded, and the decision is deterministic for a fixed
-  /// planner seed — unlike the wall-clock race.
-  kPlanner,
-  /// Legacy empirical q race (SelectQByRace, paper §4.1): races candidate
-  /// q values with real join work and keeps the fastest. Kept as the
-  /// ablation baseline for bench/micro_planner.
-  kRace,
-};
-
 /// Options for joint execution of top-k SSJs over all configs (paper §4.2).
 struct JointOptions {
   /// Top-k size per config.
   size_t k = 1000;
   SetMeasure measure = SetMeasure::kJaccard;
-  /// QJoin deferred-scoring parameter; 0 selects q per corpus — via the
-  /// cost-based planner or the legacy race, see `q_selection` — once, on
-  /// the root config.
+  /// QJoin deferred-scoring parameter; 0 selects q per corpus once, on the
+  /// root config, with the cost-based planner (src/ssj/join_planner.h) —
+  /// or takes it from `cached_plan`. The planner replaces the paper's
+  /// empirical q race (§4.1): sampled probe joins pick q by extrapolated
+  /// operation counts, plus a shard hint and the hybrid threshold/top-k
+  /// prefilter, deterministically for a fixed planner seed.
   size_t q = 1;
-  /// Plan selection strategy when q == 0 (ignored otherwise).
-  QSelection q_selection = QSelection::kPlanner;
   /// Planner sample seed; 0 = MC_PLANNER_SEED (fixed default when unset).
   /// Plans are deterministic for a fixed seed on a fixed corpus generation.
   uint64_t planner_seed = 0;
-  /// Allow the planner's hybrid threshold/top-k prefilter on the root
-  /// config (ablation switch; per-config output is bit-identical either
-  /// way).
-  bool planner_hybrid = true;
-  /// Allow promoting a hybrid plan to the threshold-join driver
-  /// (JoinExecMode::kThreshold; ablation switch, bit-identical output).
-  bool planner_threshold = true;
   /// Skip planning entirely and execute this plan (the service's
-  /// cross-session plan cache). Only consulted when q == 0 under
-  /// QSelection::kPlanner; the plan must have been produced by
-  /// PlanTopKJoin on an identical corpus generation and config signature —
-  /// the caller owns that invariant (SessionManager keys its cache by it).
-  /// The executed output is bit-identical to planning fresh because the
-  /// planner is deterministic for a fixed (seed, generation, weights) and
-  /// every plan executes to the same canonical lists. Not owned; must
-  /// outlive the call.
+  /// cross-session plan cache). Only consulted when q == 0; the plan must
+  /// have been produced by PlanTopKJoin on an identical corpus generation
+  /// and config signature — the caller owns that invariant (SessionManager
+  /// keys its cache by it). The executed output is bit-identical to
+  /// planning fresh because the planner is deterministic for a fixed
+  /// (seed, generation) and every plan executes to the same canonical
+  /// lists. Not owned; must outlive the call.
   const JoinPlan* cached_plan = nullptr;
-  /// Online cost-model calibration (ssj/cost_calibrator.h): when set, the
-  /// planner prices candidate plans with the calibrator's current weight
-  /// fit, and every completed config reports its observed operation counts
-  /// and join wall time back after the run. Null (the default) keeps the
-  /// shipped constant weights — existing callers and tests are unaffected.
-  /// Not owned; must outlive the call.
-  CostModelCalibrator* calibrator = nullptr;
   /// Worker threads ("one config per core"); 0 = hardware concurrency.
   size_t num_threads = 0;
-  /// Scheduling strategy; see JointScheduler.
-  JointScheduler scheduler = JointScheduler::kTwoLevel;
-  /// Table-A shards per config under the two-level scheduler. 0 = auto:
+  /// Table-A shards per config. 0 = the planner's hint, else auto:
   /// min(num_threads, hardware concurrency) — enough decomposition to fill
   /// the machine when ready configs are scarce (sharding splits only the
   /// table-A event stream; each shard re-walks table B, so shards beyond
@@ -104,32 +54,22 @@ struct JointOptions {
   /// JointResult::overlap_cache_shards_used (bench sweeps set it
   /// explicitly).
   size_t overlap_cache_shards = 0;
-  /// How per-config token views are built. The default zero-copy mode
-  /// serves fully covered rows straight from the corpus arena;
-  /// kMaterialize copies every row (the pre-zero-copy cost model, kept for
-  /// the micro_joint before/after ablation). The join output is identical
-  /// either way.
-  SsjCorpus::ViewMode view_mode = SsjCorpus::ViewMode::kAuto;
-  /// Score cache misses by merging the full tuples from the corpus instead
-  /// of the config-filtered view spans — the pre-zero-copy cost model, kept
-  /// for the micro_joint ablation. The computed scores are identical.
-  bool corpus_miss_path = false;
   /// Reuse similarity-score computations through the shared overlap cache.
   bool reuse_overlaps = true;
-  /// Seed each config's top-k list from its parent's re-adjusted list (and
-  /// merge late parents mid-run).
+  /// Seed each config's top-k list from its parent's re-adjusted list. A
+  /// config starts only after its parent finished, so the seed is always
+  /// the parent's final list (the paper's mid-run merge of a late parent,
+  /// §4.2, is never needed).
   bool reuse_topk = true;
   /// Overlap reuse triggers only when the average tuple length (in tokens,
   /// over the root config) is at least this (paper's t = 20).
   double reuse_min_avg_tokens = 20.0;
   /// Blocker output C: pairs to exclude from every top-k list.
   const CandidateSet* exclude = nullptr;
-  /// Poll period for late-parent merges, in join events. Cancellation is
-  /// checked at the same cadence.
-  size_t merge_poll_period = 1024;
   /// Cooperative cancellation/deadline (util/run_context.h). When it fires,
-  /// every running join stops at its next poll and unstarted configs are
-  /// skipped; the result carries each config's best-so-far list with
+  /// every running join stops at its next poll (every 1024 join events)
+  /// and unstarted configs are skipped; the result carries each config's
+  /// best-so-far list with
   /// `ConfigJoinResult::completed == false` and `JointResult::truncated ==
   /// true`. Partial lists are still valid (every score exact, every pair in
   /// D), so the verifier can rank them — graceful degradation, not an
@@ -151,10 +91,12 @@ struct ConfigJoinResult {
   size_t shards_used = 1;
   size_t cache_hits = 0;
   size_t cache_misses = 0;
-  /// Average tuple length (tokens) of this config's view — the scoring-cost
-  /// length scale the calibrator feeds back (captured before the view is
-  /// released).
-  double average_tokens = 0.0;
+  /// Execution mode the config's join ran and its prefilter threshold
+  /// (< 0 when none): kHybridPrefilter/kThreshold only on an unsharded root
+  /// config under a hybrid plan, kTopK for every other config and for a
+  /// root that never ran (skipped or failed in setup).
+  JoinExecMode mode = JoinExecMode::kTopK;
+  double prefilter_threshold = -1.0;
   bool seeded_from_parent = false;
   /// False when this config's join was cut short (deadline/cancel) or its
   /// task failed; `topk` then holds the best-so-far list (possibly empty),
@@ -175,8 +117,7 @@ struct ConfigPlanDecision {
   bool hybrid = false;
   /// The prefilter threshold used (< 0 when hybrid is off).
   double prefilter_threshold = -1.0;
-  /// Execution mode the config actually ran (kHybridPrefilter/kThreshold
-  /// only on the root config when the hybrid gate applied).
+  /// Execution mode the config actually ran (ConfigJoinResult::mode).
   JoinExecMode mode = JoinExecMode::kTopK;
   bool seeded_from_parent = false;
 };
@@ -184,8 +125,8 @@ struct ConfigPlanDecision {
 /// Where the joint execution spent its time, aggregated across configs
 /// (bench/micro_joint reports these alongside corpus-build timings).
 struct JointStageTimings {
-  /// The optional plan-selection phase (cost-based planner or legacy q
-  /// race; runs once, on the root view).
+  /// The optional plan-selection phase (cost-based planner; runs once, on
+  /// the root view).
   double q_select_seconds = 0.0;
   /// Sum of per-config view construction times.
   double view_seconds = 0.0;
@@ -203,10 +144,10 @@ struct JointResult {
   JointStageTimings stages;
   /// OverlapCache stripe count actually used (auto-sized or explicit).
   size_t overlap_cache_shards_used = 0;
-  /// The q value actually used (after the optional planner/race).
+  /// The q value actually used (after the optional planner).
   size_t q_used = 1;
-  /// The cost-based plan, when the planner ran (q == 0 under
-  /// QSelection::kPlanner); default-constructed otherwise.
+  /// The cost-based plan, when the planner ran (q == 0);
+  /// default-constructed otherwise.
   JoinPlan plan;
   bool planner_used = false;
   /// True when `plan` came from JointOptions::cached_plan instead of a
@@ -230,10 +171,10 @@ struct JointResult {
 /// Runs one top-k SSJ per config of `tree` over `corpus`, in parallel, with
 /// score-computation and top-k reuse across configs. With q = 1 each
 /// config's result is exactly the top-k of D under that config (Theorem
-/// 4.2). Under the two-level scheduler the per-config lists (pairs and
-/// scores) are bit-identical for every num_threads/shards_per_config
-/// combination and match the sequential BFS run — pinned by the joint_test
-/// property suite and the joint determinism test.
+/// 4.2). The per-config lists (pairs and scores) are bit-identical for every
+/// num_threads/shards_per_config combination and equal the brute-force
+/// reference — pinned by the joint_test property suite and the joint
+/// determinism test.
 JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
                               const JointOptions& options);
 

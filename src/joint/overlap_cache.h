@@ -37,8 +37,8 @@ class OverlapCache {
 
   /// Shard count sized from the expected entry volume. The cache holds
   /// only *kept* pairs — at most k per config, bounded by the pair space —
-  /// inserted concurrently by the scheduler's shard tasks. Targets a few
-  /// entries per stripe so concurrent NoteKept inserts rarely contend on a
+  /// inserted concurrently as configs finish. Targets a few
+  /// entries per stripe so concurrent inserts rarely contend on a
   /// mutex, clamped to [64, 8192] and rounded up to a power of two (so the
   /// returned value is exactly the stripe count the map will use).
   /// Exposed through JointOptions::overlap_cache_shards for bench sweeps.

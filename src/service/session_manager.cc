@@ -5,12 +5,10 @@
 #include <cstring>
 #include <filesystem>
 #include <optional>
-#include <string_view>
 #include <utility>
 
 #include "core/session_io.h"
 #include "mem/arena_stats.h"
-#include "ssj/cost_calibrator.h"
 #include "table/tokenized_table.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -54,10 +52,7 @@ uint64_t MixFnvDouble(uint64_t hash, double value) {
 // FNV-1a over the plan-affecting session options. Two sessions with equal
 // signatures on the same plane generation compute byte-identical plans
 // (PlanTopKJoin is deterministic for a fixed seed on a fixed corpus
-// generation), so a memoized plan can stand in for a fresh run. Calibrated
-// cost weights are deliberately excluded: a cached plan pins the decision
-// made at insert time, and recalibration only steers future fresh plans —
-// keying on live weights would make hits vanish as the fit drifts.
+// generation), so a memoized plan can stand in for a fresh run.
 uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   const JointOptions& joint = options.joint;
   uint64_t hash = 1469598103934665603ull;
@@ -65,11 +60,8 @@ uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   hash = MixFnv(hash, static_cast<uint64_t>(joint.measure));
   hash = MixFnv(hash, joint.planner_seed != 0 ? joint.planner_seed
                                               : PlannerSeedFromEnv());
-  hash = MixFnv(hash, joint.planner_hybrid ? 1 : 0);
-  hash = MixFnv(hash, joint.planner_threshold ? 1 : 0);
   hash = MixFnv(hash, joint.num_threads);
   hash = MixFnv(hash, joint.shards_per_config);
-  hash = MixFnv(hash, static_cast<uint64_t>(joint.scheduler));
   // Config generation picks the attributes, and with them the root view the
   // plan prices — its knobs (and type inference, and the text data path)
   // are part of what makes two plans interchangeable.
@@ -81,13 +73,6 @@ uint64_t PlanCacheSignature(const MatchCatcherOptions& options) {
   hash = MixFnv(hash, options.infer_types ? 1 : 0);
   hash = MixFnv(hash, static_cast<uint64_t>(options.text_plane));
   return hash;
-}
-
-// MC_PLANNER_CALIBRATE=0 disables the online cost-model feedback loop (the
-// ablation knob); anything else, including unset, leaves it on.
-bool CalibrationEnabled() {
-  const char* env = std::getenv("MC_PLANNER_CALIBRATE");
-  return env == nullptr || std::string_view(env) != "0";
 }
 
 }  // namespace
@@ -128,7 +113,6 @@ SessionManager::SessionManager(const ServiceLimits& limits)
     : limits_(limits),
       budget_(limits.memory_limit_bytes),
       retry_seeds_(limits.seed),
-      calibrate_(CalibrationEnabled()),
       root_context_(RunContext::Cancellable()) {
   MC_CHECK_GE(limits_.max_concurrent_sessions, 1u);
   if (!limits_.checkpoint_dir.empty()) {
@@ -520,8 +504,7 @@ void SessionManager::RunSession(uint64_t id) {
   std::shared_ptr<const CachedConfigPick> cached_config;
   uint64_t plan_signature = 0;
   const bool plan_cache_eligible =
-      limits_.enable_plan_cache && request.options.joint.q == 0 &&
-      request.options.joint.q_selection == QSelection::kPlanner;
+      limits_.enable_plan_cache && request.options.joint.q == 0;
   {
     std::lock_guard<std::mutex> pair_lock(entry->pair_mutex);
     if (request.options.text_plane == TextPlane::kTokenized &&
@@ -643,14 +626,11 @@ void SessionManager::RunSession(uint64_t id) {
       if (slot == nullptr) slot = std::make_shared<const CachedConfigPick>(pick);
     };
   }
-  if (calibrate_) {
-    options.joint.calibrator = &CostModelCalibrator::Process();
-  }
   if (request.options.joint.q >= 1) {
     // Cache repairable top-k state, first qualifying session wins. Gated on
-    // a caller-fixed q: under joint.q == 0 the executor races q against the
-    // data, so a rebuild could legitimately pick a different q than the
-    // snapshot replays — only a deterministic q makes repair-vs-rebuild
+    // a caller-fixed q: under joint.q == 0 the planner samples the data, so
+    // a rebuild could legitimately pick a different q than the snapshot
+    // replays — only a deterministic q makes repair-vs-rebuild
     // equivalence provable. Truncated executions never reach the sink.
     options.joint_sink = [this, entry,
                           plane_generation](const JointListsSnapshot& lists) {

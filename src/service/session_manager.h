@@ -122,7 +122,7 @@ struct SessionOutcome {
   double admission_wait_seconds = 0.0;
   double total_seconds = 0.0;
   /// The cost-based plan of the joint phase, when the planner ran
-  /// (JointOptions::q == 0 under QSelection::kPlanner). The planner's
+  /// (JointOptions::q == 0). The planner's
   /// corpus statistics live on the shared corpus and re-sample
   /// automatically after ApplyTableDelta (the patched corpus carries a new
   /// generation; plan.stats_generation records which one the plan used).
@@ -426,10 +426,6 @@ class SessionManager {
   size_t live_count_ = 0;  // Sessions in a non-terminal state.
   double avg_session_seconds_ = 0.0;  // EMA; feeds the retry-after hint.
   Rng retry_seeds_;  // Forked per retry site, under mutex_.
-  /// MC_PLANNER_CALIBRATE read once at construction: when true, every
-  /// session's joint phase prices plans with — and reports observations
-  /// back into — the process-wide CostModelCalibrator.
-  const bool calibrate_;
   ServiceStats stats_;
   bool shutting_down_ = false;
 

@@ -8,9 +8,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "mem/arena_stats.h"
-#include "mem/node_local_arena.h"
-#include "mem/topology.h"
 #include "table/tokenized_table.h"
 #include "text/similarity.h"
 #include "text/tokenize.h"
@@ -724,41 +721,6 @@ std::optional<SsjCorpus> SsjCorpus::ApplyDelta(
   return out;
 }
 
-void SsjCorpus::PlaceForTopology() const {
-  const mem::SystemTopology& topo = mem::SystemTopology::Get();
-  const size_t nodes = topo.num_nodes();
-  if (nodes <= 1 || ranks_.empty()) return;
-  if (topo.fake() || !mem::MemoryBindingAvailable()) {
-    // The topology still routes decisions (node slices, shard windows) but
-    // the bytes stay where first touch put them — a recorded fallback, not
-    // an error.
-    mem::ArenaStatsRegistry::Instance().RecordTopologyFallback();
-    return;
-  }
-  const size_t na = rows_a();
-  bool any_failed = false;
-  auto bind_cells = [&](const uint32_t* base, uint64_t begin_entry,
-                        uint64_t end_entry, int node) {
-    if (end_entry <= begin_entry) return;
-    void* begin =
-        const_cast<uint32_t*>(base + static_cast<size_t>(begin_entry));
-    const size_t bytes =
-        static_cast<size_t>(end_entry - begin_entry) * sizeof(uint32_t);
-    if (!mem::BindMemoryToNode(begin, bytes, node)) any_failed = true;
-  };
-  for (size_t n = 0; n < nodes; ++n) {
-    const size_t lo = n * na / nodes;
-    const size_t hi = (n + 1) * na / nodes;
-    bind_cells(ranks_.data(), offsets_a_[lo], offsets_a_[hi],
-               static_cast<int>(n));
-    bind_cells(masks_.data(), offsets_a_[lo], offsets_a_[hi],
-               static_cast<int>(n));
-  }
-  if (any_failed) {
-    mem::ArenaStatsRegistry::Instance().RecordTopologyFallback();
-  }
-}
-
 uint32_t SsjCorpus::ContentCrc() const {
   uint32_t crc = 0;
   auto hash_u64 = [&crc](uint64_t value) {
@@ -888,7 +850,7 @@ const CorpusPlannerStats& SsjCorpus::PlannerStats() const {
   return cache.stats;
 }
 
-ConfigView SsjCorpus::MakeConfigView(ConfigMask config, ViewMode mode) const {
+ConfigView SsjCorpus::MakeConfigView(ConfigMask config) const {
   ConfigView view;
   view.rank_limit_ = static_cast<uint32_t>(dictionary_.size());
   const size_t na = rows_a();
@@ -911,7 +873,7 @@ ConfigView SsjCorpus::MakeConfigView(ConfigMask config, ViewMode mode) const {
                            std::vector<TokenSpan>& spans) {
     for (size_t row = 0; row < rows; ++row) {
       const size_t g = global_base + row;
-      bool covered = mode == ViewMode::kAuto;
+      bool covered = true;
       uint64_t selected = 0;
       for (uint64_t m = mask_offsets_[g]; m < mask_offsets_[g + 1]; ++m) {
         if (row_masks_[m] & config) {

@@ -230,16 +230,6 @@ struct CorpusBuildStats {
 /// per-side offsets).
 class SsjCorpus {
  public:
-  /// How MakeConfigView builds the view.
-  enum class ViewMode {
-    /// Zero-copy spans for fully covered rows, pooled scratch for the rest.
-    kAuto,
-    /// Copy every row into scratch — the pre-zero-copy cost model, kept for
-    /// the micro_joint before/after ablation and as a fallback when callers
-    /// want the view independent of the corpus arenas' cache footprint.
-    kMaterialize,
-  };
-
   /// Tokenizes both tables. `columns` lists the table columns that form the
   /// promising attributes, in bit order (at most 32).
   static SsjCorpus Build(const Table& table_a, const Table& table_b,
@@ -333,22 +323,11 @@ class SsjCorpus {
     return arena_ != nullptr ? arena_->ReservedBytes() : 0;
   }
 
-  /// Topology-aware placement: binds each NUMA node's contiguous slice of
-  /// the table-A CSR cells (rows n·rows_a/N .. (n+1)·rows_a/N of ranks_ and
-  /// masks_) to that node, so the executor's node-routed shard tasks read
-  /// their rows from local memory. Purely physical — never changes content
-  /// or results. Best effort and idempotent: a single-node topology is a
-  /// no-op, and a fake (MC_TOPOLOGY) or bind-less environment records a
-  /// topology fallback instead of touching any syscall. Safe to call
-  /// concurrently with readers (mbind with MPOL_MF_MOVE migrates pages
-  /// without changing their contents).
-  void PlaceForTopology() const;
-
-  /// Builds the token view of a config. Thread-safe (concurrent calls from
+  /// Builds the token view of a config: zero-copy spans for fully covered
+  /// rows, pooled scratch for the rest. Thread-safe (concurrent calls from
   /// scheduler tasks share the scratch pool under its mutex). The returned
   /// view holds spans into this corpus: the corpus must outlive it.
-  ConfigView MakeConfigView(ConfigMask config,
-                            ViewMode mode = ViewMode::kAuto) const;
+  ConfigView MakeConfigView(ConfigMask config) const;
 
   /// Token count of one tuple under `config`.
   static size_t ConfigLength(const TupleTokens& tuple, ConfigMask config);

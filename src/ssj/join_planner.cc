@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "mem/topology.h"
 #include "ssj/topk_join.h"
 #include "ssj/topk_list.h"
 #include "util/thread_pool.h"
@@ -31,8 +30,8 @@ constexpr size_t kTargetSampleRows = 256;
 // (often) a short prefix merge; a scored pair pays a full-span merge whose
 // length scales with the mean tuple length. The weights need only rank
 // plans correctly, not predict wall time; for a fixed weight vector the
-// argmin — and hence the plan — stays deterministic, unlike the wall-clock
-// race it replaced.
+// argmin — and hence the plan — stays deterministic, unlike a wall-clock
+// race.
 
 // Threshold-driver promotion cap: a hybrid-eligible plan runs the heap-free
 // threshold driver only when at most this fraction of both tables' tokens
@@ -154,15 +153,8 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   for (const TopKJoinStats& probe : probe_stats) {
     if (probe.truncated) plan.truncated = true;
   }
-  // The q ladder is priced with the PINNED default weights, never the
-  // calibrated fit: q is the one plan knob that changes which pairs are
-  // eligible at all (a pair sharing fewer than q tokens is invisible to
-  // the q-overlap index), so a fit drifting with observed wall times must
-  // never flip it — plans, and with them the joined lists, stay
-  // bit-identical across calibration states. The calibrated weights steer
-  // the output-neutral decisions below (shard decomposition).
-  const CostWeights pinned;
-  auto modeled_cost = [&](const TopKJoinStats& s, const CostWeights& w) {
+  const CostWeights w;
+  auto modeled_cost = [&](const TopKJoinStats& s) {
     const double events = static_cast<double>(s.events_popped);
     const double probes =
         static_cast<double>(s.pairs_pruned + s.pairs_scored);
@@ -172,11 +164,11 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
                          scored * (w.score_base + w.score_token * mean_len));
   };
   for (size_t q = 1; q <= max_q; ++q) {
-    plan.cost_per_q[q - 1] = modeled_cost(probe_stats[q - 1], pinned);
+    plan.cost_per_q[q - 1] = modeled_cost(probe_stats[q - 1]);
   }
   if (plan.truncated) {
-    // Deadline hit mid-sample: mirror the race's all-truncated fallback
-    // (conservative exact-join default) instead of trusting partial counts.
+    // Deadline hit mid-sample: fall back to the conservative exact-join
+    // default instead of trusting partial counts.
     plan.q = 1;
     plan.shards = 1;
     return plan;
@@ -196,38 +188,14 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   // Shard hint from the extrapolated event volume. Sharding splits only the
   // table-A event stream (each shard re-walks table B), so shards beyond
   // what the events fill — or beyond the machine — only add overhead.
-  // This is where the calibrated weights bite: the fit rescales the modeled
-  // cost of the chosen q relative to the pinned defaults, and a join whose
-  // probes/scores got relatively costlier fills a shard with fewer events.
-  // Safe by construction — the shard merge is canonical at every count, so
-  // calibration moves wall time, never bytes; with default weights the
-  // ratio is exactly 1 and the hint matches the uncalibrated planner.
   const size_t max_shards =
       options.max_shards != 0
           ? options.max_shards
           : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const double pinned_cost = plan.cost_per_q[best_q - 1];
-  const double calibrated_cost =
-      modeled_cost(probe_stats[best_q - 1], options.weights);
-  const double cost_scale =
-      pinned_cost > 0.0
-          ? std::clamp(calibrated_cost / pinned_cost, 1.0 / 16.0, 16.0)
-          : 1.0;
   plan.shards = std::max<size_t>(
-      1, std::min<size_t>(
-             max_shards,
-             static_cast<size_t>(static_cast<double>(plan.est_events) *
-                                 cost_scale / kMinEventsPerShard)));
-  // On multi-node machines the two-level executor folds the shards into one
-  // A-row window per NUMA node; rounding the hint up to a node multiple
-  // keeps those per-node groups equal-sized (no node finishing early and
-  // idling its memory). Only when the join is worth decomposing at all, and
-  // never past the machine cap. The hint moves work placement, not results.
-  const size_t nodes = mem::SystemTopology::Get().num_nodes();
-  if (plan.shards > 1 && nodes > 1) {
-    const size_t rounded = ((plan.shards + nodes - 1) / nodes) * nodes;
-    plan.shards = std::min(std::max<size_t>(rounded, nodes), max_shards);
-  }
+      1, std::min<size_t>(max_shards,
+                          static_cast<size_t>(plan.est_events /
+                                              kMinEventsPerShard)));
 
   // Hybrid decision: seed the threshold pass with the sampled k-th estimate
   // when it stabilized across nested samples. The full sample's rank-scaled
@@ -241,7 +209,7 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   // the seed low, trading a little pruning for restart headroom. Only
   // planned for single-shard execution — a shard's sub-space k-th can sit
   // below the full-space estimate, which would force per-shard restarts.
-  if (options.enable_hybrid && plan.shards == 1 && rate * 2 <= rows_a) {
+  if (plan.shards == 1 && rate * 2 <= rows_a) {
     const TopKList& full_sample = probe_lists[best_q - 1];
     if (full_sample.full()) {
       plan.sampled_kth = full_sample.KthScore();
@@ -290,8 +258,7 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
               total == 0 ? 1.0
                          : static_cast<double>(kept) /
                                static_cast<double>(total);
-          if (options.enable_threshold &&
-              plan.threshold_prefix_fraction <= kMaxThresholdPrefixFraction) {
+          if (plan.threshold_prefix_fraction <= kMaxThresholdPrefixFraction) {
             plan.mode = JoinExecMode::kThreshold;
           }
         }

@@ -34,11 +34,10 @@ enum class JoinExecMode {
 /// used by --explain-plans and the bench records.
 const char* JoinExecModeName(JoinExecMode mode);
 
-/// Per-operation weights of the planner's cost model, in abstract units.
-/// The defaults are the hand-tuned constants the planner shipped with; the
-/// online calibrator (ssj/cost_calibrator.h) refits them from observed
-/// executions. They need only rank plans correctly, not predict wall time,
-/// and the event weight is pinned to 1.0 (the model is scale-free).
+/// Per-operation weights of the planner's cost model, in abstract units:
+/// hand-tuned constants that price both the q ladder and the shard hint.
+/// They need only rank plans correctly, not predict wall time, and the
+/// event weight is pinned to 1.0 (the model is scale-free).
 struct CostWeights {
   /// Heap pop + index append, per prefix-extension event.
   double event = 1.0;
@@ -59,7 +58,7 @@ struct PlannerOptions {
   /// Blocker output C — the same exclusion the planned join will run with,
   /// so sampled counts see the same pair space.
   const CandidateSet* exclude = nullptr;
-  /// Largest candidate q (the race's historical cap). The planner further
+  /// Largest candidate q (the paper's §4.1 q range). The planner further
   /// caps candidates by the corpus length distribution: a q most table-A
   /// rows cannot reach answers a much smaller query space and would win
   /// the cost comparison by doing less useful work.
@@ -75,25 +74,9 @@ struct PlannerOptions {
   uint64_t seed = 0;
   /// Upper bound for the shard-count hint; 0 = hardware concurrency.
   size_t max_shards = 0;
-  /// Allow the hybrid threshold/top-k prefilter decision. Off forces
-  /// JoinPlan::prefilter_threshold < 0 (classic execution); the join output
-  /// is identical either way.
-  bool enable_hybrid = true;
-  /// Allow promoting a hybrid-eligible plan to the threshold-join driver
-  /// (JoinExecMode::kThreshold) when the truncated-prefix estimate says the
-  /// fixed bound removes enough work. Off caps the plan at
-  /// kHybridPrefilter; the join output is identical either way.
-  bool enable_threshold = true;
-  /// Cost-model weights. Defaults to the hand-tuned constants; the service
-  /// substitutes the online calibrator's current fit (MC_PLANNER_CALIBRATE).
-  /// The fit steers only output-neutral plan knobs (the shard hint): the q
-  /// ladder is always priced with the pinned defaults, because q changes
-  /// which pairs are eligible at all and a fit that drifts with observed
-  /// wall times must never change the joined bytes.
-  CostWeights weights;
   /// Cooperative cancellation for the sampling probes. A cancelled planner
   /// returns the conservative plan (q = 1, one shard, no hybrid) with
-  /// JoinPlan::truncated set, mirroring the race's all-truncated fallback.
+  /// JoinPlan::truncated set.
   RunContext run_context;
 };
 

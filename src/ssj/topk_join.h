@@ -2,7 +2,6 @@
 #define MATCHCATCHER_SSJ_TOPK_JOIN_H_
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "blocking/candidate_set.h"
@@ -38,14 +37,6 @@ class PairScorer {
     return true;
   }
 
-  /// Called when (row_a, row_b) entered the top-k list. Caching scorers use
-  /// this to persist overlap structure for *kept* pairs only — the pairs
-  /// that parent-to-child top-k reuse will re-score — rather than for every
-  /// scored pair (millions of allocations on large joins).
-  virtual void NoteKept(RowId row_a, RowId row_b) {
-    (void)row_a;
-    (void)row_b;
-  }
 };
 
 /// Merge-scores from the config view's CSR token arena. Stateless per call:
@@ -62,16 +53,6 @@ class DirectPairScorer : public PairScorer {
   SetMeasure measure_;
 };
 
-/// Lets a running join absorb a parent config's (re-adjusted) top-k list as
-/// soon as it becomes available (paper §4.2: "When config g finishes, it
-/// sends its top-k list to h. Config h merges ... then continues"). TryFetch
-/// is polled periodically; it must return a value at most once.
-class MergeSource {
- public:
-  virtual ~MergeSource() = default;
-  virtual std::optional<std::vector<ScoredPair>> TryFetch() = 0;
-};
-
 struct TopKJoinOptions {
   /// Number of pairs to retain.
   size_t k = 1000;
@@ -83,10 +64,8 @@ struct TopKJoinOptions {
   size_t q = 1;
   /// Pairs to skip — the blocker output C (killed-off search, Def. 2.2).
   const CandidateSet* exclude = nullptr;
-  /// How often (in popped prefix-extension events) to poll merge_source.
-  /// Cancellation (run_context) is checked at the same cadence.
-  size_t merge_poll_period = 1024;
-  /// Cooperative cancellation/deadline. When it fires mid-run the join
+  /// Cooperative cancellation/deadline, polled every 1024 popped
+  /// prefix-extension events. When it fires mid-run the join
   /// stops at the next poll, returns its best-so-far list, and sets
   /// TopKJoinStats::truncated. The default inert context never fires and
   /// leaves the join byte-identical to an uncancellable run.
@@ -101,9 +80,7 @@ struct TopKJoinOptions {
   /// the canonical top-k of its sub-space under (score desc, pair asc), so
   /// the merge reproduces the canonical global list for any shard count
   /// and any thread scheduling. A custom `scorer` must tolerate concurrent
-  /// Score/NoteKept calls when shards > 1 (DirectPairScorer does);
-  /// `merge_source`, if any, is polled exactly once on the calling thread
-  /// after the shard joins complete.
+  /// Score calls when shards > 1 (DirectPairScorer does).
   size_t shards = 1;
   /// Hybrid threshold/top-k execution (TT-join style, driven by the cost
   /// planner of src/ssj/join_planner.h). < 0 (the default) is off: behavior
@@ -120,8 +97,7 @@ struct TopKJoinOptions {
   /// q-eligible), which reproduces the non-hybrid result. Either way the
   /// output is *bit-identical* to the same options without the prefilter —
   /// the threshold moves work, never results (TopKJoinStats counts
-  /// restarts). Ignored when a merge_source is supplied (its one-shot
-  /// polling contract does not compose with the restart).
+  /// restarts).
   double prefilter_threshold = -1.0;
 };
 
@@ -136,7 +112,6 @@ struct TopKJoinStats {
   /// bookkeeping (a pair may be counted once per shared token here).
   size_t pairs_pruned = 0;
   size_t tokens_indexed = 0;
-  size_t merges_applied = 0;
   /// Hybrid prefilter phases whose threshold proved too optimistic (the
   /// engine restarted without it; see TopKJoinOptions::prefilter_threshold).
   /// Always 0 with the prefilter off. A well-chosen threshold — the
@@ -154,9 +129,8 @@ struct TopKJoinStats {
 /// list with scores re-adjusted to this config — which initialize the list.
 /// The engine may later re-derive and re-score a seeded pair; scoring is
 /// deterministic and TopKList::Add updates in place, so the list is
-/// unchanged. `merge_source` (optional) is polled during the run for a late
-/// parent list. `scorer` may be null (DirectPairScorer is used). `stats`
-/// may be null.
+/// unchanged. `scorer` may be null (DirectPairScorer is used). `stats` may
+/// be null.
 ///
 /// With q = 1 the result is exact and *canonical*: the returned list is the
 /// unique k-minimum of D = A x B - C under the total order
@@ -166,12 +140,11 @@ struct TopKJoinStats {
 /// (BruteForceTopK returns the same list). With q > 1 the result is the
 /// canonical top-k restricted to pairs sharing at least q tokens (the
 /// deferred-scoring heuristic never scores a pair whose overlap is below
-/// q), unioned with any seeded/merged pairs — pinned against brute force by
+/// q), unioned with any seeded pairs — pinned against brute force by
 /// the SsjEquivalenceTest harness.
 TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
                      PairScorer* scorer = nullptr,
                      const std::vector<ScoredPair>* seed = nullptr,
-                     MergeSource* merge_source = nullptr,
                      TopKJoinStats* stats = nullptr);
 
 /// Runs a single table-A shard sub-join (shard `shard` of `shard_count`:
@@ -182,8 +155,7 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
 /// shards 0..shard_count-1 (in any order) through TopKList::Add yields
 /// exactly RunTopKJoin's list for the same options/seed.
 /// `options.shards` is ignored; `seed` is offered to the shard like
-/// RunTopKJoin's seed; there is no merge source (the scheduler seeds
-/// children directly from finished parents instead of polling).
+/// RunTopKJoin's seed.
 ///
 /// `b_shard`/`b_shard_count` optionally decompose the table-B event stream
 /// the same way (rows with row % b_shard_count == b_shard), making the call
@@ -193,21 +165,12 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
 /// cost shrinks on *both* sides — without it, every probe still walks
 /// table B's full event stream and costs as much as a full join.
 ///
-/// `a_begin`/`a_end` confine the shard to a contiguous window of table-A
-/// rows before the residue split: the shard owns rows a_begin + shard,
-/// a_begin + shard + shard_count, … below min(a_end, rows_a). The default
-/// window is all of A. The topology-aware executor uses this to keep every
-/// shard task inside the A-row slice owned by one NUMA node — and because
-/// each call still returns the canonical top-k of the exact pair sub-space
-/// it owns, merging any disjoint decomposition (windows × residues)
-/// reproduces the sequential list bit for bit.
 TopKList RunTopKJoinShard(const ConfigView& view,
                           const TopKJoinOptions& options, size_t shard,
                           size_t shard_count, PairScorer* scorer = nullptr,
                           const std::vector<ScoredPair>* seed = nullptr,
                           TopKJoinStats* stats = nullptr, size_t b_shard = 0,
-                          size_t b_shard_count = 1, size_t a_begin = 0,
-                          size_t a_end = static_cast<size_t>(-1));
+                          size_t b_shard_count = 1);
 
 /// Runs the threshold-join (TT-join) driver: a heap-free fixed-bound pass
 /// that exploits `options.prefilter_threshold` (required: >= 0) end-to-end.
@@ -237,8 +200,6 @@ TopKList RunTopKJoinShard(const ConfigView& view,
 /// (each block returns the canonical top-k of its sub-space, so the merge
 /// is canonical for any block count and scheduling); as with RunTopKJoin,
 /// a custom `scorer` must tolerate concurrent calls when shards > 1.
-/// There is no merge-source parameter — the fixed bound does not compose
-/// with a late parent list (the classic engine handles that path).
 TopKList RunThresholdJoin(const ConfigView& view,
                           const TopKJoinOptions& options,
                           PairScorer* scorer = nullptr,
@@ -259,20 +220,6 @@ size_t ThresholdPrefixLength(SetMeasure measure, size_t len, size_t q,
 TopKList BruteForceTopK(const ConfigView& view, size_t k, SetMeasure measure,
                         const CandidateSet* exclude = nullptr,
                         size_t min_overlap = 0);
-
-/// Selects the QJoin q value empirically (paper §4.1): races candidate q
-/// values, each computing a top-`probe_k` list, and returns the q with the
-/// fastest run. The race executes on a ThreadPool of
-/// min(max_q, hardware_concurrency()) workers so candidate runs do not
-/// oversubscribe the machine and distort each other's timings. A run cut
-/// short by `run_context` (deadline/cancellation) finishes early without
-/// doing its full work, so truncated runs are disqualified; if every run
-/// was truncated the conservative default q = 1 (exact TopKJoin semantics)
-/// is returned.
-size_t SelectQByRace(const ConfigView& view, SetMeasure measure,
-                     const CandidateSet* exclude, size_t max_q = 4,
-                     size_t probe_k = 50,
-                     const RunContext& run_context = {});
 
 }  // namespace mc
 

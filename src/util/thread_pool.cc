@@ -80,17 +80,15 @@ ThreadPool::ThreadPool(size_t num_threads, const ThreadPoolOptions& options) {
       threads_.emplace_back([this, name = options.name_prefix + "-" +
                                        std::to_string(i)] {
         SetCurrentThreadName(name);
-        WorkerLoop(/*node=*/-1);
+        WorkerLoop();
       });
     }
     return;
   }
 
   // Topology-aware: carve the workers into contiguous per-node groups —
-  // worker i serves node NodeOfSlice(i, n), mirroring how the executor
-  // slices table-A rows across nodes, so a task routed to the node owning
-  // its arena slice lands on a worker whose caches (and, when pinned, whose
-  // memory controller) are local to that slice.
+  // worker i serves node NodeOfSlice(i, n) and, when pinned, runs on one of
+  // that node's cores.
   const mem::SystemTopology& topo = mem::SystemTopology::Get();
   const bool pin = ShouldPin(options.pinning, topo);
   pinned_ = pin;
@@ -109,7 +107,7 @@ ThreadPool::ThreadPool(size_t num_threads, const ThreadPoolOptions& options) {
                                   std::to_string(i)] {
       SetCurrentThreadName(name);
       if (pin) PinToCore(cpus, core_index);
-      WorkerLoop(node);
+      WorkerLoop();
     });
   }
 }
@@ -130,22 +128,13 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::Submit(std::function<void()> task, ErrorSink error_sink) {
   MC_CHECK(task != nullptr);
-  Enqueue(Task{std::move(task), std::move(error_sink), /*node=*/-1});
-}
-
-void ThreadPool::SubmitOnNode(int node, std::function<void()> task) {
-  MC_CHECK(task != nullptr);
-  Enqueue(Task{std::move(task), nullptr, node});
-}
-
-void ThreadPool::Enqueue(Task task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     MC_CHECK(!shutting_down_)
         << "ThreadPool::Submit() during or after pool destruction; the task "
            "would run on dead workers. All producers (including running "
            "tasks) must stop submitting before the pool is destroyed.";
-    queue_.push_back(std::move(task));
+    queue_.push_back(Task{std::move(task), std::move(error_sink)});
   }
   work_available_.notify_one();
 }
@@ -170,7 +159,7 @@ void ThreadPool::RecordError(Status status) {
   ++error_count_;
 }
 
-void ThreadPool::WorkerLoop(int node) {
+void ThreadPool::WorkerLoop() {
   while (true) {
     Task task;
     {
@@ -178,22 +167,8 @@ void ThreadPool::WorkerLoop(int node) {
       work_available_.wait(
           lock, [this] { return shutting_down_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutting_down_ with no work left.
-      // Soft node routing: a grouped worker prefers the earliest task
-      // tagged for its own node, falling back to strict FIFO when nothing
-      // matches — so tags redirect locality but can never starve a task.
-      // The scan is O(queue length); queues here hold per-config/per-shard
-      // tasks (dozens), not fine-grained items.
-      auto it = queue_.begin();
-      if (node >= 0) {
-        for (auto scan = queue_.begin(); scan != queue_.end(); ++scan) {
-          if (scan->node == node) {
-            it = scan;
-            break;
-          }
-        }
-      }
-      task = std::move(*it);
-      queue_.erase(it);
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++active_;
     }
     // Task boundary: exceptions stop here. A throwing task must neither

@@ -34,16 +34,15 @@ struct ThreadPoolOptions {
   std::string name_prefix = "mcpool";
   /// Group workers by NUMA node: worker i belongs to node
   /// SystemTopology::NodeOfSlice(i, num_threads), is named
-  /// `<prefix>-n<node>-w<i>`, and prefers tasks submitted for its node
-  /// (SubmitOnNode). Off: the classic flat pool, workers named
-  /// `<prefix>-<i>`.
+  /// `<prefix>-n<node>-w<i>`, and is pinned per `pinning`. Off: the classic
+  /// flat pool, workers named `<prefix>-<i>`.
   bool topology_aware = false;
   ThreadPinning pinning = ThreadPinning::kAuto;
 };
 
 /// Fixed-size worker pool with a FIFO task queue. Used by the joint top-k
 /// executor ("one config per core", paper §4.2; the planner's q probes run
-/// on the same pool first) and the QJoin q-value race.
+/// on the same pool first).
 ///
 /// ## Lifecycle
 ///
@@ -96,15 +95,6 @@ class ThreadPool {
   /// on failure, at most once, on the worker thread.
   void Submit(std::function<void()> task, ErrorSink error_sink);
 
-  /// Enqueues `task` with a NUMA-node preference: workers of `node` pick it
-  /// up ahead of untagged work when they go idle. Purely a soft routing
-  /// hint — any worker takes the queue front when nothing matches its own
-  /// node, so no task ever starves, and on a non-topology-aware pool the
-  /// tag is inert. Task *results* must not depend on which worker runs
-  /// them (the executor's merges are canonical), so the hint never affects
-  /// output — only locality.
-  void SubmitOnNode(int node, std::function<void()> task);
-
   /// Blocks until every submitted task (including tasks submitted by
   /// running tasks) has completed. Returns the first sink-less task error
   /// since the previous Wait(), or OK; the error is cleared once returned.
@@ -132,11 +122,9 @@ class ThreadPool {
   struct Task {
     std::function<void()> fn;
     ErrorSink error_sink;
-    int node = -1;  // Preferred NUMA node; -1 = any worker.
   };
 
-  void Enqueue(Task task);
-  void WorkerLoop(int node);
+  void WorkerLoop();
   void RecordError(Status status);
 
   mutable std::mutex mutex_;

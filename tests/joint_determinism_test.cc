@@ -1,8 +1,8 @@
 // Determinism and cancellation pins for the two-level joint scheduler and
 // the block-parallel corpus build: the per-config lists (pairs AND scores)
-// must be bit-identical for every thread count, shard count, and scheduler;
-// a deadline or injected fault mid-build or mid-schedule must degrade to
-// best-so-far results without deadlocking.
+// must equal the brute-force reference bit for bit for every thread count
+// and shard count; a deadline or injected fault mid-build or mid-schedule
+// must degrade to best-so-far results without deadlocking.
 
 #include <string>
 #include <utility>
@@ -59,13 +59,14 @@ PromisingAttributes ThreeColumnAttrs() {
 }
 
 // Exact equality, not EXPECT_NEAR: the determinism contract is bit-identical
-// scores, not merely close ones.
-void ExpectIdenticalResults(const JointResult& got, const JointResult& ref,
+// scores, not merely close ones. `ref` holds one list per config-tree node.
+void ExpectIdenticalResults(const JointResult& got,
+                            const std::vector<std::vector<ScoredPair>>& ref,
                             const std::string& label) {
-  ASSERT_EQ(got.per_config.size(), ref.per_config.size()) << label;
+  ASSERT_EQ(got.per_config.size(), ref.size()) << label;
   for (size_t i = 0; i < got.per_config.size(); ++i) {
     const std::vector<ScoredPair>& g = got.per_config[i].topk;
-    const std::vector<ScoredPair>& r = ref.per_config[i].topk;
+    const std::vector<ScoredPair>& r = ref[i];
     ASSERT_EQ(g.size(), r.size()) << label << " node " << i;
     for (size_t j = 0; j < g.size(); ++j) {
       EXPECT_EQ(g[j].pair, r[j].pair)
@@ -94,18 +95,20 @@ TEST(JointDeterminismTest, BitIdenticalAcrossThreadsShardsAndSchedulers) {
     base.reuse_topk = reuse;
     base.reuse_min_avg_tokens = 0.0;
 
-    // Reference: the legacy scheduler's sequential BFS (the pre-two-level
-    // code path).
-    JointOptions ref_options = base;
-    ref_options.scheduler = JointScheduler::kConfigPerTask;
-    ref_options.num_threads = 1;
-    JointResult ref = RunJointTopKJoins(corpus, tree, ref_options);
-    ASSERT_FALSE(ref.truncated);
+    // Reference: brute-force top-k of every config over the pairs sharing
+    // at least q tokens (Theorem 4.2: at q = 1 the joint result is exact,
+    // with or without reuse).
+    std::vector<std::vector<ScoredPair>> ref;
+    for (const ConfigNode& node : tree.nodes) {
+      const ConfigView view = corpus.MakeConfigView(node.mask);
+      ref.push_back(BruteForceTopK(view, base.k, base.measure, base.exclude,
+                                   /*min_overlap=*/base.q)
+                        .SortedDescending());
+    }
 
     for (size_t threads : {size_t{1}, size_t{2}, size_t{7}}) {
       for (size_t shards : {size_t{0}, size_t{1}, size_t{3}}) {
         JointOptions options = base;
-        options.scheduler = JointScheduler::kTwoLevel;
         options.num_threads = threads;
         options.shards_per_config = shards;
         JointResult got = RunJointTopKJoins(corpus, tree, options);
@@ -167,35 +170,42 @@ TEST(CorpusBuildDeterminismTest, ZeroCopyViewMatchesMaterialized) {
   SsjCorpus corpus = SsjCorpus::Build(a, b, {0, 1, 2});
 
   for (ConfigMask config : {0b111u, 0b101u, 0b010u, 0b001u}) {
-    ConfigView fast = corpus.MakeConfigView(config, SsjCorpus::ViewMode::kAuto);
-    ConfigView slow =
-        corpus.MakeConfigView(config, SsjCorpus::ViewMode::kMaterialize);
-    EXPECT_EQ(slow.zero_copy_rows(), 0u);
-    EXPECT_EQ(fast.zero_copy_rows() + fast.materialized_rows(),
-              fast.rows_a() + fast.rows_b());
+    ConfigView view = corpus.MakeConfigView(config);
+    EXPECT_EQ(view.zero_copy_rows() + view.materialized_rows(),
+              view.rows_a() + view.rows_b());
     if (config == 0b111u) {
       // The root config filters nothing: every row is served zero-copy.
-      EXPECT_EQ(fast.materialized_rows(), 0u);
+      EXPECT_EQ(view.materialized_rows(), 0u);
     }
 
-    ASSERT_EQ(fast.rows_a(), slow.rows_a());
-    ASSERT_EQ(fast.rows_b(), slow.rows_b());
-    EXPECT_EQ(fast.rank_limit(), slow.rank_limit());
-    EXPECT_DOUBLE_EQ(fast.average_tokens(), slow.average_tokens());
-    auto expect_same_span = [&](TokenSpan x, TokenSpan y, const char* side,
-                                size_t row) {
-      ASSERT_EQ(x.size(), y.size())
+    ASSERT_EQ(view.rows_a(), corpus.rows_a());
+    ASSERT_EQ(view.rows_b(), corpus.rows_b());
+    EXPECT_EQ(view.rank_limit(), corpus.dictionary().size());
+    // Reference: the tuple's tokens filtered by the config mask, in order.
+    size_t total_tokens = 0;
+    auto expect_filtered = [&](TokenSpan span, const TupleTokens& tuple,
+                               const char* side, size_t row) {
+      std::vector<uint32_t> expected;
+      for (size_t t = 0; t < tuple.size(); ++t) {
+        if (tuple.masks[t] & config) expected.push_back(tuple.ranks[t]);
+      }
+      total_tokens += expected.size();
+      ASSERT_EQ(span.size(), expected.size())
           << "config " << config << " " << side << row;
-      for (size_t t = 0; t < x.size(); ++t) {
-        EXPECT_EQ(x[t], y[t]) << "config " << config << " " << side << row;
+      for (size_t t = 0; t < expected.size(); ++t) {
+        EXPECT_EQ(span[t], expected[t])
+            << "config " << config << " " << side << row;
       }
     };
-    for (size_t row = 0; row < fast.rows_a(); ++row) {
-      expect_same_span(fast.a(row), slow.a(row), "a", row);
+    for (size_t row = 0; row < view.rows_a(); ++row) {
+      expect_filtered(view.a(row), corpus.tuple_a(row), "a", row);
     }
-    for (size_t row = 0; row < fast.rows_b(); ++row) {
-      expect_same_span(fast.b(row), slow.b(row), "b", row);
+    for (size_t row = 0; row < view.rows_b(); ++row) {
+      expect_filtered(view.b(row), corpus.tuple_b(row), "b", row);
     }
+    EXPECT_DOUBLE_EQ(view.average_tokens(),
+                     static_cast<double>(total_tokens) /
+                         static_cast<double>(view.rows_a() + view.rows_b()));
   }
 }
 
@@ -305,7 +315,7 @@ TEST_F(JointShardFaultTest, ThrowingShardTaskIsCapturedNotFatal) {
 }
 
 // --------------------------------------------------------------------------
-// ParentPublication / ParentMergeSource.
+// Parent-list re-adjustment.
 // --------------------------------------------------------------------------
 
 class CountingScorer : public PairScorer {
@@ -319,40 +329,7 @@ class CountingScorer : public PairScorer {
   size_t calls = 0;
 };
 
-TEST(ParentMergeSourceTest, VersionFastPathAndSingleDelivery) {
-  Rng rng(61);
-  auto [a, b] = RandomThreeAttrTables(rng, 10);
-  SsjCorpus corpus = SsjCorpus::Build(a, b, {0, 1, 2});
-  ConfigView view = corpus.MakeConfigView(0b111);
-
-  ParentPublication parent;
-  CountingScorer scorer;
-  ParentMergeSource source(&parent, &view, &scorer);
-
-  // Parent still running: every poll is the version fast path — no lock,
-  // no copy, no re-scoring.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(source.TryFetch().has_value());
-  }
-  EXPECT_EQ(scorer.calls, 0u);
-
-  std::vector<ScoredPair> list{{MakePairId(0, 0), 1.0},
-                               {MakePairId(1, 1), 0.75}};
-  parent.Publish(list);
-  EXPECT_TRUE(parent.done());
-  EXPECT_EQ(parent.version(), 1u);
-
-  auto fetched = source.TryFetch();
-  ASSERT_TRUE(fetched.has_value());
-  EXPECT_EQ(fetched->size(), 2u);
-  EXPECT_EQ(scorer.calls, 2u);  // Re-adjusted through the child's scorer.
-
-  // At most once: the version has not changed since delivery.
-  EXPECT_FALSE(source.TryFetch().has_value());
-  EXPECT_EQ(scorer.calls, 2u);
-}
-
-TEST(ParentMergeSourceTest, ReadjustDropsRowsEmptyUnderChildConfig) {
+TEST(ReadjustToConfigTest, DropsRowsEmptyUnderChildConfig) {
   Schema schema({{"name", AttributeType::kString},
                  {"city", AttributeType::kString}});
   Table a(schema), b(schema);

@@ -21,7 +21,6 @@
 #include "mem/arena.h"
 #include "mem/arena_stats.h"
 #include "mem/arena_vector.h"
-#include "mem/per_node_replica.h"
 #include "mem/topology.h"
 #include "ssj/corpus.h"
 #include "table/table.h"
@@ -236,24 +235,11 @@ TEST(ArenaStatsTest, PlacedArenaShowsInPerNodeSnapshotAndFallbacks) {
   }
 }
 
-TEST(PerNodeReplicaTest, FillAndClampedGet) {
-  mem::PerNodeReplica<std::vector<int>> replicas;
-  EXPECT_TRUE(replicas.empty());
-  replicas.Fill(std::vector<int>{1, 2, 3}, 2);
-  EXPECT_FALSE(replicas.empty());
-  EXPECT_EQ(replicas.num_replicas(), 2u);
-  EXPECT_EQ(replicas.Get(0), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(replicas.Get(1), (std::vector<int>{1, 2, 3}));
-  // Out-of-range nodes clamp instead of crashing (topology changed under a
-  // long-lived structure).
-  EXPECT_EQ(replicas.Get(7), replicas.Get(1));
-}
-
 // --------------------------------------------------------------------------
 // ThreadPool topology mode.
 // --------------------------------------------------------------------------
 
-TEST(TopologyThreadPoolTest, SubmitOnNodeRunsEverythingUnderFakeTopology) {
+TEST(TopologyThreadPoolTest, GroupsWorkersAndRunsEverythingUnderFakeTopology) {
   SystemTopology topo;
   ASSERT_TRUE(SystemTopology::ParseSpec("nodes=2,cores_per_node=2", &topo));
   SystemTopology::SetForTest(topo);
@@ -266,7 +252,7 @@ TEST(TopologyThreadPoolTest, SubmitOnNodeRunsEverythingUnderFakeTopology) {
     EXPECT_EQ(pool.NodeOfWorker(3), 1);
     std::atomic<int> ran{0};
     for (int i = 0; i < 100; ++i) {
-      pool.SubmitOnNode(i % 2, [&ran] { ++ran; });
+      pool.Submit([&ran] { ++ran; });
     }
     pool.Wait();
     EXPECT_EQ(ran.load(), 100);
@@ -424,7 +410,6 @@ TEST_F(TopologyPlacementIdentityTest, PinnedAndUnpinnedMatchAcrossNodes) {
   JointOptions base_options;
   base_options.k = 25;
   base_options.q = 1;
-  base_options.scheduler = JointScheduler::kTwoLevel;
   base_options.num_threads = 1;
 
   // Reference: whatever topology the machine really has, unpinned.

@@ -117,8 +117,7 @@ TEST_P(PlannerEquivalenceTest, PlannedExecutionMatchesDirectRun) {
   TopKJoinOptions planned = direct;
   if (plan.hybrid) planned.prefilter_threshold = plan.prefilter_threshold;
   TopKJoinStats stats;
-  TopKList got = RunTopKJoin(view, planned, nullptr, nullptr, nullptr,
-                             &stats);
+  TopKList got = RunTopKJoin(view, planned, nullptr, nullptr, &stats);
   ExpectBitIdentical(got, want, "planned vs direct");
   // And against the single-shard classic run, which the sharded merge is
   // already pinned to elsewhere — closes the loop on plan.shards.
@@ -151,8 +150,7 @@ TEST_P(PlannerEquivalenceTest, HybridPrefilterBitIdenticalBothPaths) {
     TopKJoinOptions hybrid = classic;
     hybrid.prefilter_threshold = true_kth;
     TopKJoinStats stats;
-    TopKList got = RunTopKJoin(view, hybrid, nullptr, nullptr, nullptr,
-                               &stats);
+    TopKList got = RunTopKJoin(view, hybrid, nullptr, nullptr, &stats);
     EXPECT_EQ(stats.prefilter_restarts, 0u);
     ExpectBitIdentical(got, want, "done case");
   }
@@ -162,8 +160,7 @@ TEST_P(PlannerEquivalenceTest, HybridPrefilterBitIdenticalBothPaths) {
     TopKJoinOptions hybrid = classic;
     hybrid.prefilter_threshold = 2.0;
     TopKJoinStats stats;
-    TopKList got = RunTopKJoin(view, hybrid, nullptr, nullptr, nullptr,
-                               &stats);
+    TopKList got = RunTopKJoin(view, hybrid, nullptr, nullptr, &stats);
     EXPECT_GE(stats.prefilter_restarts, 1u);
     ExpectBitIdentical(got, want, "restart case");
   }
@@ -407,7 +404,6 @@ TEST(JointPlannerTest, PlannerRunMatchesExplicitQRun) {
   JointOptions planned;
   planned.k = 25;
   planned.q = 0;
-  planned.q_selection = QSelection::kPlanner;
   planned.planner_seed = 77;
   planned.num_threads = 2;
   const JointResult with_planner = RunJointTopKJoins(corpus, tree, planned);

@@ -325,15 +325,13 @@ TEST(TopKJoinTest, QOneIsTopKJoinAndHigherQIsSubsetLike) {
 
   TopKJoinStats stats_q1;
   options.q = 1;
-  TopKList q1 = RunTopKJoin(view, options, nullptr, nullptr, nullptr,
-                            &stats_q1);
+  TopKList q1 = RunTopKJoin(view, options, nullptr, nullptr, &stats_q1);
   TopKList brute = BruteForceTopK(view, options.k, options.measure);
   ExpectTopKEquivalent(q1, brute, view, options.measure, "q=1");
 
   TopKJoinStats stats_q3;
   options.q = 3;
-  TopKList q3 = RunTopKJoin(view, options, nullptr, nullptr, nullptr,
-                            &stats_q3);
+  TopKList q3 = RunTopKJoin(view, options, nullptr, nullptr, &stats_q3);
   // QJoin's point: fewer full score computations.
   EXPECT_LE(stats_q3.pairs_scored, stats_q1.pairs_scored);
   // Every returned pair's score is still exact.
@@ -382,20 +380,10 @@ TEST(TopKJoinTest, StatsArePopulated) {
   TopKJoinOptions options;
   options.k = 10;
   TopKJoinStats stats;
-  RunTopKJoin(view, options, nullptr, nullptr, nullptr, &stats);
+  RunTopKJoin(view, options, nullptr, nullptr, &stats);
   EXPECT_GT(stats.events_popped, 0u);
   EXPECT_GT(stats.pairs_scored, 0u);
   EXPECT_GT(stats.tokens_indexed, 0u);
-}
-
-TEST(TopKJoinTest, SelectQByRaceReturnsValidQ) {
-  Rng rng(5);
-  auto [a, b] = RandomTables(rng, 60, 60, 30, 8);
-  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
-  ConfigView view = corpus.MakeConfigView(0b1);
-  size_t q = SelectQByRace(view, SetMeasure::kJaccard, nullptr, 4, 20);
-  EXPECT_GE(q, 1u);
-  EXPECT_LE(q, 4u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "table/table.h"
 #include "text/similarity.h"
 #include "util/random.h"
+#include "util/run_context.h"
 
 namespace mc {
 namespace {
@@ -264,6 +265,46 @@ TEST(ThresholdJoinExecutorTest, CachedPlanModeIsOutputInvariant) {
       }
     }
   }
+}
+
+// A root config that never ran — skipped because the run was cancelled
+// before it started — must not report the plan's hybrid mode: the plan
+// decision mirrors what the root's task executed, not what the plan asked.
+TEST(ThresholdJoinExecutorTest, SkippedRootReportsTheModeItRan) {
+  Rng rng(9701);
+  auto [a, b] = RandomTables(rng, 60);
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
+
+  PromisingAttributes attrs;
+  attrs.columns = {0};
+  attrs.e_scores = {0.9};
+  attrs.avg_len_a = {5};
+  attrs.avg_len_b = {5};
+  ConfigTree tree = GenerateConfigTree(attrs);
+
+  JoinPlan plan;
+  plan.q = 1;
+  plan.shards = 1;
+  plan.hybrid = true;
+  plan.prefilter_threshold = 0.5;
+  plan.mode = JoinExecMode::kThreshold;
+  plan.stats_generation = corpus.generation();
+
+  JointOptions options;
+  options.k = 20;
+  options.q = 0;
+  options.num_threads = 1;
+  options.cached_plan = &plan;
+  options.run_context = RunContext::Cancellable();
+  options.run_context.Cancel();
+  JointResult result = RunJointTopKJoins(corpus, tree, options);
+
+  EXPECT_TRUE(result.truncated);
+  ASSERT_FALSE(result.plan_decisions.empty());
+  const ConfigPlanDecision& root = result.plan_decisions[0];
+  EXPECT_EQ(root.mode, JoinExecMode::kTopK);
+  EXPECT_FALSE(root.hybrid);
+  EXPECT_EQ(root.prefilter_threshold, -1.0);
 }
 
 }  // namespace

@@ -95,35 +95,26 @@ done
 
 # Plan cache + threshold mode: threshold-join execution and cached-plan
 # sessions must stay bit-identical to classic fresh-planned top-k runs, the
-# plan-cache fault point must degrade to re-planning (never wrong output),
-# and the online cost-model calibration must never change the joined bytes
-# (it steers only output-neutral plan knobs). ASan covers the truncated
-# prefix views and cached-plan lifetimes; the seed matrix moves the
-# randomized delta schedules of the invalidation tests. The calibration
-# determinism check runs the suite once with the calibrator disabled — same
-# tests, same outputs, proving MC_PLANNER_CALIBRATE is an ablation of cost,
-# not results.
+# plan-cache fault point must degrade to re-planning (never wrong output).
+# ASan covers the truncated prefix views and cached-plan lifetimes; the seed
+# matrix moves the randomized delta schedules of the invalidation tests.
 echo "==== [plan-cache] threshold/plan-cache suites under ASan ===="
 for seed in 5 17 90210; do
   echo "---- [plan-cache] asan MC_PLANCACHE_SEED=${seed} ----"
   MC_PLANCACHE_SEED="${seed}" ctest --test-dir "${build_root}/asan" \
       --output-on-failure \
-      -R 'ThresholdJoin|ThresholdPrefixLength|PlanCache|CostCalibrator'
+      -R 'ThresholdJoin|ThresholdPrefixLength|PlanCache'
 done
-echo "==== [plan-cache] calibration determinism (MC_PLANNER_CALIBRATE=0) ===="
-MC_PLANNER_CALIBRATE=0 ctest --test-dir "${build_root}/release" \
-    --output-on-failure \
-    -R 'ThresholdJoin|PlanCache|CostCalibrator|PlannerEquivalence'
 
 # Topology: placement must move bytes and threads, never results. The mem
 # suite (arena/budget/topology unit tests plus the placement bit-identity
 # matrix) runs under ASan for arena lifetime coverage, and the determinism
 # suites re-run under forced single-node and fake dual-node MC_TOPOLOGY so
-# the multi-node decomposition paths (A-row windows, node-routed shards,
-# replicated seeds) are exercised deterministically on any CI machine.
+# the multi-node paths (node-grouped worker pools, arena placement
+# fallbacks) are exercised deterministically on any CI machine.
 echo "==== [topology] mem suite under ASan ===="
 ctest --test-dir "${build_root}/asan" --output-on-failure \
-    -R 'ArenaTest|ArenaVectorTest|ArenaStatsTest|TopologyTest|PerNodeReplicaTest|TopologyThreadPoolTest|BudgetConservationTest|TopologyPlacementIdentityTest'
+    -R 'ArenaTest|ArenaVectorTest|ArenaStatsTest|TopologyTest|TopologyThreadPoolTest|BudgetConservationTest|TopologyPlacementIdentityTest'
 echo "==== [topology] determinism suites under forced topologies ===="
 for topo in "nodes=1,cores_per_node=4" "nodes=2,cores_per_node=2"; do
   echo "---- [topology] MC_TOPOLOGY=${topo} ----"
@@ -172,12 +163,6 @@ delta_json="${build_root}/release/bench_smoke_delta.json"
 "${build_root}/release/bench/micro_delta" \
     --json="${delta_json}" --engine=ci-smoke --scale=0.05 --reps=1 \
     --generations=3
-# micro_planner exits 1 unless the planner path's output is bit-identical to
-# both the race path and a direct run of its own plan; the validator
-# re-checks the checksum equality on the smoke record and the archive.
-planner_json="${build_root}/release/bench_smoke_planner.json"
-"${build_root}/release/bench/micro_planner" \
-    --json="${planner_json}" --engine=ci-smoke --scale=0.01 --reps=1 --k=50
 # micro_numa exits 1 unless every placement (single-node, dual-node,
 # machine) produces bit-identical lists; the validator re-checks the
 # cross-placement checksum equality on the smoke record and the archive.
@@ -193,8 +178,7 @@ plancache_json="${build_root}/release/bench_smoke_plancache.json"
     --sessions=3
 python3 "${repo_root}/tools/validate_bench_json.py" \
     "${bench_json}" "${joint_json}" "${text_json}" "${kernels_json}" \
-    "${service_json}" "${delta_json}" "${planner_json}" "${numa_json}" \
-    "${plancache_json}" \
+    "${service_json}" "${delta_json}" "${numa_json}" "${plancache_json}" \
     "${repo_root}/bench/BENCH_ssj.json" \
     "${repo_root}/bench/BENCH_joint.json" \
     "${repo_root}/bench/BENCH_text.json" \

@@ -34,9 +34,8 @@
 //                      execution mode and whether it was served from the
 //                      cross-session plan cache), the per-config plan
 //                      decisions (q, shards, hybrid prefilter, exec mode,
-//                      parent seeding), the service plan-cache hit/miss
-//                      counters, and the live calibrated cost-weight
-//                      vector; implies --q 0 unless --q was given
+//                      parent seeding) and the service plan-cache hit/miss
+//                      counters; implies --q 0 unless --q was given
 //                      explicitly
 //   --no-plan-cache    disable the cross-session plan cache (every
 //                      planner-eligible session re-runs the sampling
@@ -64,7 +63,6 @@
 #include "mem/node_local_arena.h"
 #include "mem/topology.h"
 #include "service/session_manager.h"
-#include "ssj/cost_calibrator.h"
 #include "table/csv.h"
 #include "util/fault_injection.h"
 
@@ -489,20 +487,6 @@ int main(int argc, char** argv) {
       stats.watchdog_cancelled, stats.plans_computed, stats.hybrid_plans,
       stats.hybrid_restarts, stats.plan_cache_hits, stats.plan_cache_misses,
       stats.plans_evicted);
-  if (args.explain_plans) {
-    // The live calibrated weight vector steers the output-neutral knobs
-    // (shard hint) of every fresh plan above — the q ladder stays priced
-    // with the pinned defaults (unless MC_PLANNER_CALIBRATE=0 froze the
-    // fit at the defaults entirely).
-    const mc::CostModelCalibrator& calibrator =
-        mc::CostModelCalibrator::Process();
-    const mc::CostWeights weights = calibrator.weights();
-    std::printf(
-        "calibration: observations=%zu refits=%zu weights=(event=%.4f "
-        "probe=%.4f score_base=%.4f score_token=%.4f)\n",
-        calibrator.observations(), calibrator.refits(), weights.event,
-        weights.probe, weights.score_base, weights.score_token);
-  }
   if (args.topology) {
     // Snapshot before Shutdown so the shared planes' arenas are still live
     // and show up in the per-node bytes.
