@@ -166,10 +166,9 @@ struct JsonBenchConfig {
   size_t k = 200;
 };
 
-// One timed point: RunTopKJoin at (q, shards) on the default workload.
+// One timed point: RunTopKJoin at q on the default workload.
 struct JsonBenchResult {
   size_t q = 1;
-  size_t shards = 1;
   double best_seconds = 0.0;
   double mean_seconds = 0.0;
   size_t pairs = 0;
@@ -179,17 +178,15 @@ struct JsonBenchResult {
 };
 
 JsonBenchResult TimeJoin(const ConfigView& view, size_t k, size_t q,
-                         size_t shards, size_t reps) {
+                         size_t reps) {
   JsonBenchResult result;
   result.q = q;
-  result.shards = shards;
   double total = 0.0;
   double best = 0.0;
   for (size_t rep = 0; rep < reps; ++rep) {
     TopKJoinOptions options;
     options.k = k;
     options.q = q;
-    options.shards = shards;
     TopKJoinStats stats;
     Stopwatch watch;
     TopKList list = RunTopKJoin(view, options, nullptr, nullptr, &stats);
@@ -219,16 +216,8 @@ int RunJsonBench(const JsonBenchConfig& config) {
 
   std::vector<JsonBenchResult> results;
   for (size_t q = 1; q <= 4; ++q) {
-    results.push_back(TimeJoin(view, config.k, q, /*shards=*/1, config.reps));
+    results.push_back(TimeJoin(view, config.k, q, config.reps));
   }
-  // One sharded point at the fastest-typical q, as a parallel-mode record.
-  // Its score multiset matches the sequential q=2 run, but the checksum may
-  // differ: pair identity at the boundary score can vary among equal-score
-  // ties (the merged list keeps the k best under the (score, pair) total
-  // order; the sequential engine may never score a tied boundary pair its
-  // pruning bound already excluded).
-  results.push_back(TimeJoin(view, config.k, /*q=*/2, /*shards=*/4,
-                             config.reps));
 
   std::ofstream out(config.path);
   if (!out) {
@@ -262,7 +251,9 @@ int RunJsonBench(const JsonBenchConfig& config) {
     json.BeginObject();
     json.KV("name", "run_topk_join");
     json.KV("q", uint64_t{result.q});
-    json.KV("shards", uint64_t{result.shards});
+    // The join runs on the calling thread; the field stays in the record
+    // so archived records with a sharded point keep one schema.
+    json.KV("shards", uint64_t{1});
     json.KV("best_seconds", result.best_seconds);
     json.KV("mean_seconds", result.mean_seconds);
     json.KV("pairs", uint64_t{result.pairs});

@@ -27,7 +27,8 @@ constexpr size_t kTargetSampleRows = 256;
 
 // Cost-model weights live in CostWeights (join_planner.h): an event is a
 // heap pop plus an index append; a probe pays the positional bound and
-// (often) a short prefix merge; a scored pair pays a full-span merge whose
+// (often) a scan of the partner's prefix against the marks of the probing
+// row's own prefix; a scored pair pays a full-span merge whose
 // length scales with the mean tuple length. The weights need only rank
 // plans correctly, not predict wall time; for a fixed weight vector the
 // argmin — and hence the plan — stays deterministic, unlike a wall-clock

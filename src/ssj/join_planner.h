@@ -41,7 +41,8 @@ const char* JoinExecModeName(JoinExecMode mode);
 struct CostWeights {
   /// Heap pop + index append, per prefix-extension event.
   double event = 1.0;
-  /// Positional bound + short prefix merge, per probe.
+  /// Positional bound + partner-prefix scan against the own-prefix marks,
+  /// per probe.
   double probe = 0.5;
   /// Fixed part of a full-span scoring merge.
   double score_base = 4.0;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <type_traits>
 
 #include "mem/arena.h"
 #include "mem/arena_vector.h"
 #include "simd/kernels.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace mc {
 
@@ -52,15 +50,42 @@ struct IndexEntry {
   uint32_t position;
 };
 
-// Exact |a[0..len_a) ∩ b[0..len_b)| of two rank-sorted prefixes, stopping
-// as soon as the count exceeds `limit` (the caller only needs equality with
-// a value <= limit). Counts below or equal to `limit` are exact. The capped
-// kernel's contract (exactly limit + 1 once exceeded) keeps the return value
-// level-independent.
-inline size_t PrefixOverlap(const uint32_t* a, size_t len_a, const uint32_t* b,
-                            size_t len_b, size_t limit) {
-  return simd::OverlapCountCapped(a, len_a, b, len_b, limit);
-}
+// Own-prefix mark table: one flag per token rank (every rank of a view is
+// < view.rank_limit()), set for the ranks of one row's prefix. It answers a
+// probe's "how many tokens before this one does the pair already share?"
+// by scanning only the partner's prefix against the flags, instead of
+// merging both prefixes on every probe. Marking a prefix costs one write
+// per token and is shared by every probe of the event (or B row) that set
+// it; the owner clears exactly what it set, so the table is all zero
+// between owners.
+class PrefixMarks {
+ public:
+  PrefixMarks(size_t rank_limit, mem::Arena* arena)
+      : flags_(rank_limit, 0, mem::ArenaAllocator<uint8_t>(arena)) {}
+
+  void Set(const uint32_t* ranks, size_t n) {
+    for (size_t i = 0; i < n; ++i) flags_[ranks[i]] = 1;
+  }
+  void Clear(const uint32_t* ranks, size_t n) {
+    for (size_t i = 0; i < n; ++i) flags_[ranks[i]] = 0;
+  }
+
+  // Exact |marked ∩ ranks[0..n)| for a row's distinct ranks, stopping as
+  // soon as the count exceeds `limit`: counts up to `limit` are exact, and
+  // any larger count reads as limit + 1 (callers only test equality with a
+  // value <= limit).
+  size_t CountCapped(const uint32_t* ranks, size_t n, size_t limit) const {
+    size_t count = 0;
+    for (size_t i = 0; i < n; ++i) {
+      count += flags_[ranks[i]];
+      if (count > limit) break;
+    }
+    return count;
+  }
+
+ private:
+  mem::ArenaVector<uint8_t> flags_;
+};
 
 // Exact similarity of a pair by merging its token spans, with the measure
 // fixed at compile time (same arithmetic as DirectPairScorer::Score).
@@ -189,14 +214,15 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     return SetSimilarityCap(kMeasure, len, effective);
   };
 
-  // Pass-local scratch arena backing the inverted indexes, the event heap,
-  // and the required-overlap tables. Uncharged (transient working memory,
-  // not resident plane state) and unplaced: its pages are first-touched by
-  // this thread, so under a pinned topology-aware pool the whole scratch
-  // plane lands on the worker's own node for free. Posting-list growth
-  // strands its doubling copies in the arena (deallocate is a no-op); the
-  // waste is bounded by the geometric series and the arena returns it all
-  // at once when the pass ends — cheaper than a heap round-trip per list.
+  // Pass-local scratch arena backing the inverted indexes, the mark table,
+  // the event heap, and the required-overlap tables. Uncharged (transient
+  // working memory, not resident plane state) and unplaced: its pages are
+  // first-touched by this thread, so under a pinned topology-aware pool the
+  // whole scratch plane lands on the worker's own node for free.
+  // Posting-list growth strands its doubling copies in the arena
+  // (deallocate is a no-op); the waste is bounded by the geometric series
+  // and the arena returns it all at once when the pass ends — cheaper than
+  // a heap round-trip per list.
   mem::Arena scratch(mem::ArenaOptions{.tag = "join_scratch"});
 
   // Inverted indexes over the *extended* prefixes, one per side, indexed
@@ -214,6 +240,9 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
   mem::ArenaVector<PostingList> index_b(
       view.rank_limit(), posting_proto,
       mem::ArenaAllocator<PostingList>(&scratch));
+  // Marks of the current event's own prefix [0, position), set lazily at
+  // its first probe that survives the positional bound.
+  PrefixMarks marks(view.rank_limit(), &scratch);
 
   // Required-overlap table: req_value[len] caches
   // RequiredOverlap<kMeasure, true>(own_len, len, kth) for the event being
@@ -368,9 +397,11 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
     // exact shared count at each probe is recomputable from the CSR
     // prefixes alone. That makes the join stateless per pair: no hash map
     // of pair state (formerly the join's dominant cost — one random cache
-    // miss per probe), just a short sequential merge over arena data.
+    // miss per probe), just a scan of the partner's prefix against the
+    // marks of this row's own prefix.
     const PostingList& postings = other_index[token];
     if (!postings.empty()) {
+      bool marked = false;
       const size_t own_len = tokens.size();
       const size_t own_remaining = own_len - 1 - event.position;
       for (const IndexEntry& entry : postings) {
@@ -425,18 +456,21 @@ TopKList RunShardPass(const ConfigView& view, const TopKJoinOptions& options,
           continue;
         }
 
-        // Exact c via a short merge of the rank-sorted CSR prefixes — the
-        // join is stateless per pair: no hash map of pair counts (formerly
-        // the dominant cost — one random cache miss per probe).
-        const size_t before =
-            PrefixOverlap(tokens.begin(), event.position,
-                          partner_tokens.begin(), entry.position,
-                          /*limit=*/q - 1);
+        // Exact c - 1: the partner's prefix [0, j) scanned against the
+        // marks of the own prefix [0, i). A row's ranks are distinct, so
+        // each shared token counts once.
+        if (!marked) {
+          marks.Set(tokens.begin(), event.position);
+          marked = true;
+        }
+        const size_t before = marks.CountCapped(
+            partner_tokens.begin(), entry.position, /*limit=*/q - 1);
         if (before == 0) ++stats->pairs_discovered;
         if (before != q - 1) continue;  // Not the q-th shared token.
         score_pair(from_a ? MakePairId(event.row, partner)
                           : MakePairId(partner, event.row));
       }
+      if (marked) marks.Clear(tokens.begin(), event.position);
     }
 
     // Reveal the token in this side's index.
@@ -560,32 +594,31 @@ size_t TruncatedPrefixLength(size_t len, size_t q, double tau) {
 
 using PostingList = mem::ArenaVector<IndexEntry>;
 
-// Probes one contiguous block of table-B rows [b_begin, b_end) against the
-// shared read-only table-A truncated-prefix index at the fixed bound `tau`
-// and returns the canonical top-k of the block's sub-space restricted to
-// pairs scoring >= tau (plus any seeds). Unlike RunShardPass there is no
-// event heap — rows stream in order and positions advance sequentially —
-// and the required-overlap table is stamped once per probe row (own_len is
-// the only variable: tau never moves), so the k-th score raising never
-// invalidates cached bounds. The k-th score still tightens the scoring
-// early-abandon bound via max(tau, k-th), which is safe under the
-// accept-or-restart contract of RunThresholdImpl.
+// Threshold-join driver body: truncates both sides' prefixes at tau, indexes
+// table A's in one sequential sweep, then streams table B's rows against
+// that index at the fixed bound tau and accepts or restarts per the hybrid
+// prefilter contract. Unlike RunShardPass there is no event heap — rows
+// stream in order and positions advance sequentially — and the
+// required-overlap table is stamped once per probe row (own_len is the only
+// variable: tau never moves), so the k-th score rising never invalidates
+// cached bounds. The k-th score still tightens the scoring early-abandon
+// bound via max(tau, k-th), which is safe under the accept-or-restart
+// contract below.
 template <SetMeasure kMeasure, typename Scorer>
-TopKList ThresholdBlockPass(const ConfigView& view,
-                            const TopKJoinOptions& options, double tau,
-                            Scorer* scorer,
-                            const std::vector<ScoredPair>* seed,
-                            const mem::ArenaVector<PostingList>& index_a,
-                            const mem::ArenaVector<uint32_t>& b_prefix_len,
-                            size_t b_begin, size_t b_end,
-                            TopKJoinStats* stats) {
+TopKList RunThresholdImpl(const ConfigView& view,
+                          const TopKJoinOptions& options, Scorer* scorer,
+                          PairScorer* scorer_base,
+                          const std::vector<ScoredPair>* seed,
+                          TopKJoinStats* stats) {
+  const double tau = options.prefilter_threshold;
+  const size_t q = options.q;
+
   TopKList topk(options.k);
   if (seed != nullptr) {
     for (const ScoredPair& entry : *seed) {
       topk.Add(entry.pair, entry.score);
     }
   }
-  const size_t q = options.q;
 
   auto score_pair = [&](PairId pair) {
     if (options.exclude != nullptr && options.exclude->Contains(pair)) {
@@ -618,25 +651,47 @@ TopKList ThresholdBlockPass(const ConfigView& view,
     topk.Add(pair, score);
   };
 
+  // Scratch arena for the truncated-prefix index and the B row's marks.
+  mem::Arena scratch(mem::ArenaOptions{.tag = "join_scratch"});
+  const PostingList posting_proto{mem::ArenaAllocator<IndexEntry>(&scratch)};
+  mem::ArenaVector<PostingList> index_a(
+      view.rank_limit(), posting_proto,
+      mem::ArenaAllocator<PostingList>(&scratch));
+  // Marks of the B row's prefix [0, position): they build up as the
+  // position advances and are cleared at the end of the row.
+  PrefixMarks marks(view.rank_limit(), &scratch);
+
+  size_t max_len = 0;
+  for (size_t row = 0; row < view.rows_a(); ++row) {
+    const TokenSpan tokens = view.a(row);
+    max_len = std::max(max_len, tokens.size());
+    const size_t limit = TruncatedPrefixLength<kMeasure>(tokens.size(), q, tau);
+    for (size_t position = 0; position < limit; ++position) {
+      ++stats->events_popped;
+      index_a[tokens[position]].push_back(
+          IndexEntry{static_cast<RowId>(row), static_cast<uint32_t>(position)});
+      ++stats->tokens_indexed;
+    }
+  }
+  for (size_t row = 0; row < view.rows_b(); ++row) {
+    max_len = std::max(max_len, view.b(row).size());
+  }
+
   // Required-overlap cache at the fixed bound tau, stamped by probe row:
   // req_value[partner_len] holds RequiredOverlap(own_len, partner_len, tau)
   // for the row being probed. Valid for the whole row — tau is fixed, so
   // unlike the classic pass nothing ever expires mid-row.
-  size_t max_len = 0;
-  for (size_t row = 0; row < view.rows_a(); ++row) {
-    max_len = std::max(max_len, view.a(row).size());
-  }
-  for (size_t row = b_begin; row < b_end; ++row) {
-    max_len = std::max(max_len, view.b(row).size());
-  }
-  std::vector<uint32_t> req_value(max_len + 1, 0);
-  std::vector<uint64_t> req_stamp(max_len + 1, 0);
+  mem::ArenaVector<uint32_t> req_value(max_len + 1, 0,
+                                       mem::ArenaAllocator<uint32_t>(&scratch));
+  mem::ArenaVector<uint64_t> req_stamp(max_len + 1, 0,
+                                       mem::ArenaAllocator<uint64_t>(&scratch));
   uint64_t req_epoch = 0;
 
   size_t since_poll = 0;
-  for (size_t row = b_begin; row < b_end; ++row) {
+  for (size_t row = 0; row < view.rows_b(); ++row) {
     const TokenSpan tokens = view.b(row);
-    const size_t limit = b_prefix_len[row];
+    const size_t limit =
+        TruncatedPrefixLength<kMeasure>(tokens.size(), q, tau);
     if (limit == 0) continue;
     ++req_epoch;
     const size_t own_len = tokens.size();
@@ -645,14 +700,14 @@ TopKList ThresholdBlockPass(const ConfigView& view,
       if (++since_poll >= kCancelPollPeriod) {
         since_poll = 0;
         if (options.run_context.Cancelled()) {
+          // Best-so-far contract, no restart (the restart would be
+          // cancelled too and lose the survivors).
           stats->truncated = true;
           return topk;
         }
       }
-      const PostingList& postings = index_a[tokens[position]];
-      if (postings.empty()) continue;
       const size_t own_remaining = own_len - 1 - position;
-      for (const IndexEntry& entry : postings) {
+      for (const IndexEntry& entry : index_a[tokens[position]]) {
         const RowId partner = entry.row;
         const TokenSpan partner_tokens = view.a(partner);
         const size_t partner_len = partner_tokens.size();
@@ -682,109 +737,28 @@ TopKList ThresholdBlockPass(const ConfigView& view,
         // prefixes, so the i-th shared token inside the truncated prefixes
         // probes with exactly i - 1 predecessors: each pair is scored at
         // most once, at its q-th shared truncated-prefix token.
-        const size_t before =
-            PrefixOverlap(tokens.begin(), position, partner_tokens.begin(),
-                          entry.position, /*limit=*/q - 1);
+        const size_t before = marks.CountCapped(
+            partner_tokens.begin(), entry.position, /*limit=*/q - 1);
         if (before == 0) ++stats->pairs_discovered;
         if (before != q - 1) continue;
         score_pair(MakePairId(partner, static_cast<RowId>(row)));
       }
+      marks.Set(tokens.begin() + position, 1);
     }
+    marks.Clear(tokens.begin(), limit);
   }
-  return topk;
-}
-
-// Threshold-join driver body: truncate both sides' prefixes at tau, index
-// table A sequentially, stream table B (in options.shards contiguous
-// blocks) against it, merge the canonical block lists, and accept or
-// restart per the hybrid prefilter contract.
-template <SetMeasure kMeasure, typename Scorer>
-TopKList RunThresholdImpl(const ConfigView& view,
-                          const TopKJoinOptions& options, Scorer* scorer,
-                          PairScorer* scorer_base,
-                          const std::vector<ScoredPair>* seed,
-                          TopKJoinStats* stats) {
-  const double tau = options.prefilter_threshold;
-  const size_t q = options.q;
-
-  // Scratch arena for the truncated-prefix index: built once on the calling
-  // thread, then shared read-only across the B-row block tasks.
-  mem::Arena scratch(mem::ArenaOptions{.tag = "join_scratch"});
-  const PostingList posting_proto{mem::ArenaAllocator<IndexEntry>(&scratch)};
-  mem::ArenaVector<PostingList> index_a(
-      view.rank_limit(), posting_proto,
-      mem::ArenaAllocator<PostingList>(&scratch));
-
-  // Truncated prefix lengths, computed once per distinct row length would
-  // also work; per row keeps it simple and the binary search is O(log len).
-  for (size_t row = 0; row < view.rows_a(); ++row) {
-    const TokenSpan tokens = view.a(row);
-    const size_t limit = TruncatedPrefixLength<kMeasure>(tokens.size(), q, tau);
-    for (size_t position = 0; position < limit; ++position) {
-      ++stats->events_popped;
-      index_a[tokens[position]].push_back(
-          IndexEntry{static_cast<RowId>(row), static_cast<uint32_t>(position)});
-      ++stats->tokens_indexed;
-    }
-  }
-  mem::ArenaVector<uint32_t> b_prefix_len(
-      view.rows_b(), 0, mem::ArenaAllocator<uint32_t>(&scratch));
-  for (size_t row = 0; row < view.rows_b(); ++row) {
-    b_prefix_len[row] = static_cast<uint32_t>(
-        TruncatedPrefixLength<kMeasure>(view.b(row).size(), q, tau));
-  }
-
-  TopKList merged(options.k);
-  if (options.shards == 1 || view.rows_b() < 2) {
-    merged = ThresholdBlockPass<kMeasure, Scorer>(
-        view, options, tau, scorer, seed, index_a, b_prefix_len,
-        /*b_begin=*/0, /*b_end=*/view.rows_b(), stats);
-  } else {
-    const size_t blocks = std::min(options.shards, view.rows_b());
-    const size_t hardware =
-        std::max<size_t>(1, std::thread::hardware_concurrency());
-    std::vector<TopKList> block_lists(blocks, TopKList(options.k));
-    std::vector<TopKJoinStats> block_stats(blocks);
-    {
-      ThreadPool pool(std::min(blocks, hardware), "mc-ttjoin");
-      for (size_t s = 0; s < blocks; ++s) {
-        pool.Submit([&, s] {
-          const size_t b_begin = s * view.rows_b() / blocks;
-          const size_t b_end = (s + 1) * view.rows_b() / blocks;
-          block_lists[s] = ThresholdBlockPass<kMeasure, Scorer>(
-              view, options, tau, scorer, seed, index_a, b_prefix_len,
-              b_begin, b_end, &block_stats[s]);
-        });
-      }
-      Status status = pool.Wait();
-      MC_CHECK(status.ok()) << status.message();
-    }
-    for (size_t s = 0; s < blocks; ++s) {
-      for (const ScoredPair& entry : block_lists[s].Entries()) {
-        merged.Add(entry.pair, entry.score);
-      }
-      stats->events_popped += block_stats[s].events_popped;
-      stats->pairs_discovered += block_stats[s].pairs_discovered;
-      stats->pairs_scored += block_stats[s].pairs_scored;
-      stats->pairs_pruned += block_stats[s].pairs_pruned;
-      stats->truncated = stats->truncated || block_stats[s].truncated;
-    }
-  }
-  // Cancelled mid-pass: best-so-far contract, no restart (the restart would
-  // be cancelled too and lose the survivors).
-  if (stats->truncated) return merged;
   // Done case: full list whose boundary reached tau — canonical. Every pair
   // the truncation skipped has its q-th shared token at a position whose
   // extension cap is < tau, so it scores strictly below tau <= the final
   // k-th and cannot even tie; every ScoreAbove rejection was strictly below
-  // max(tau, a then-current block k-th) <= the final k-th.
-  if (merged.KthScore() >= tau) return merged;
+  // max(tau, a then-current k-th) <= the final k-th.
+  if (topk.KthScore() >= tau) return topk;
   // Threshold overshot the true k-th: re-run the classic engine seeded with
   // the survivors (all exactly scored at their q-th shared-token probe,
   // hence q-eligible), which reproduces the non-threshold output bit for
   // bit — same repair as the hybrid prefilter restart.
   ++stats->prefilter_restarts;
-  std::vector<ScoredPair> combined = merged.Entries();
+  std::vector<ScoredPair> combined = topk.Entries();
   if (seed != nullptr) {
     combined.insert(combined.end(), seed->begin(), seed->end());
   }
@@ -798,59 +772,8 @@ TopKList RunThresholdImpl(const ConfigView& view,
 TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
                      PairScorer* scorer, const std::vector<ScoredPair>* seed,
                      TopKJoinStats* stats) {
-  MC_CHECK_GE(options.q, 1u);
-  MC_CHECK_GE(options.shards, 1u);
-  DirectPairScorer direct_scorer(&view, options.measure);
-  DirectPairScorer* direct = scorer == nullptr ? &direct_scorer : nullptr;
-  if (scorer == nullptr) scorer = &direct_scorer;
-  TopKJoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-
-  if (options.shards == 1) {
-    return RunShard(view, options, scorer, direct, seed, stats, /*shard=*/0,
-                    /*shard_count=*/1);
-  }
-
-  // Parallel mode: independent sub-joins over table-A shards, merged at the
-  // end. Each shard's result is its canonical top-k over (shard x B) — the
-  // k-minimum under (score desc, pair asc) — so merging the shard lists
-  // through TopKList::Add reproduces the sequential run's list bit for bit
-  // (see docs/algorithms.md §"Canonical tie handling"). The seed is offered
-  // to every shard — its scores raise each shard's pruning threshold early,
-  // and the final merge deduplicates.
-  const size_t shard_count = options.shards;
-  const size_t hardware =
-      std::max<size_t>(1, std::thread::hardware_concurrency());
-  std::vector<TopKList> shard_lists(shard_count, TopKList(options.k));
-  std::vector<TopKJoinStats> shard_stats(shard_count);
-  {
-    ThreadPool pool(std::min(shard_count, hardware), "mc-shard");
-    for (size_t s = 0; s < shard_count; ++s) {
-      pool.Submit([&, s] {
-        shard_lists[s] = RunShard(view, options, scorer, direct, seed,
-                                  &shard_stats[s], s, shard_count);
-      });
-    }
-    Status status = pool.Wait();
-    // Scorers are the only user code on this path; a throwing scorer is a
-    // programming error, not a data condition.
-    MC_CHECK(status.ok()) << status.message();
-  }
-
-  TopKList merged(options.k);
-  for (size_t s = 0; s < shard_count; ++s) {
-    for (const ScoredPair& entry : shard_lists[s].Entries()) {
-      merged.Add(entry.pair, entry.score);
-    }
-    stats->events_popped += shard_stats[s].events_popped;
-    stats->pairs_discovered += shard_stats[s].pairs_discovered;
-    stats->pairs_scored += shard_stats[s].pairs_scored;
-    stats->pairs_pruned += shard_stats[s].pairs_pruned;
-    stats->tokens_indexed += shard_stats[s].tokens_indexed;
-    stats->prefilter_restarts += shard_stats[s].prefilter_restarts;
-    stats->truncated = stats->truncated || shard_stats[s].truncated;
-  }
-  return merged;
+  return RunTopKJoinShard(view, options, /*shard=*/0, /*shard_count=*/1,
+                          scorer, seed, stats);
 }
 
 TopKList RunTopKJoinShard(const ConfigView& view,
@@ -876,7 +799,6 @@ TopKList RunThresholdJoin(const ConfigView& view,
                           const std::vector<ScoredPair>* seed,
                           TopKJoinStats* stats) {
   MC_CHECK_GE(options.q, 1u);
-  MC_CHECK_GE(options.shards, 1u);
   MC_CHECK_GE(options.prefilter_threshold, 0.0)
       << "threshold mode needs a fixed bound";
   PairScorer* scorer_base = scorer;

@@ -70,18 +70,6 @@ struct TopKJoinOptions {
   /// TopKJoinStats::truncated. The default inert context never fires and
   /// leaves the join byte-identical to an uncancellable run.
   RunContext run_context;
-  /// Intra-config parallelism: number of table-A shards. 1 (the default)
-  /// runs the sequential engine. With n > 1 the table-A event stream is
-  /// split into n independent sub-joins (shard s owns rows with
-  /// row % n == s, each joined against all of table B) executed on a
-  /// ThreadPool of min(n, hardware_concurrency()) workers; the per-shard
-  /// top-k lists are merged into the final list at the end. The merged
-  /// result is *bit-identical* to the sequential run — every shard returns
-  /// the canonical top-k of its sub-space under (score desc, pair asc), so
-  /// the merge reproduces the canonical global list for any shard count
-  /// and any thread scheduling. A custom `scorer` must tolerate concurrent
-  /// Score calls when shards > 1 (DirectPairScorer does).
-  size_t shards = 1;
   /// Hybrid threshold/top-k execution (TT-join style, driven by the cost
   /// planner of src/ssj/join_planner.h). < 0 (the default) is off: behavior
   /// is byte-identical to the classic engine. >= 0 runs a *pre-filter
@@ -102,8 +90,8 @@ struct TopKJoinOptions {
 };
 
 /// Counters exposing where the join spends its effort; drives the QJoin-vs-
-/// TopKJoin benchmarks. In sharded mode the counters are summed across
-/// shards.
+/// TopKJoin benchmarks. The joint executor sums them across a config's
+/// shard tasks.
 struct TopKJoinStats {
   size_t events_popped = 0;
   size_t pairs_discovered = 0;
@@ -153,9 +141,8 @@ TopKList RunTopKJoin(const ConfigView& view, const TopKJoinOptions& options,
 /// building block the joint executor's two-level scheduler uses to run one
 /// config's shards as independent pool tasks: merging the shard lists of
 /// shards 0..shard_count-1 (in any order) through TopKList::Add yields
-/// exactly RunTopKJoin's list for the same options/seed.
-/// `options.shards` is ignored; `seed` is offered to the shard like
-/// RunTopKJoin's seed.
+/// exactly RunTopKJoin's list for the same options/seed. `seed` is offered
+/// to the shard like RunTopKJoin's seed.
 ///
 /// `b_shard`/`b_shard_count` optionally decompose the table-B event stream
 /// the same way (rows with row % b_shard_count == b_shard), making the call
@@ -194,12 +181,6 @@ TopKList RunTopKJoinShard(const ConfigView& view,
 /// q-eligible). Either way the returned list is *bit-identical* to
 /// RunTopKJoin with the same options and prefilter off
 /// (TopKJoinStats::prefilter_restarts counts the repair path).
-///
-/// `options.shards` > 1 splits table B into that many contiguous row
-/// blocks probed in parallel against the shared read-only table-A index
-/// (each block returns the canonical top-k of its sub-space, so the merge
-/// is canonical for any block count and scheduling); as with RunTopKJoin,
-/// a custom `scorer` must tolerate concurrent calls when shards > 1.
 TopKList RunThresholdJoin(const ConfigView& view,
                           const TopKJoinOptions& options,
                           PairScorer* scorer = nullptr,

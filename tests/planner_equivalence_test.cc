@@ -111,7 +111,6 @@ TEST_P(PlannerEquivalenceTest, PlannedExecutionMatchesDirectRun) {
   direct.k = k();
   direct.measure = measure();
   direct.q = plan.q;
-  direct.shards = plan.shards;
   TopKList want = RunTopKJoin(view, direct);
 
   TopKJoinOptions planned = direct;
@@ -119,12 +118,10 @@ TEST_P(PlannerEquivalenceTest, PlannedExecutionMatchesDirectRun) {
   TopKJoinStats stats;
   TopKList got = RunTopKJoin(view, planned, nullptr, nullptr, &stats);
   ExpectBitIdentical(got, want, "planned vs direct");
-  // And against the single-shard classic run, which the sharded merge is
-  // already pinned to elsewhere — closes the loop on plan.shards.
-  TopKJoinOptions sequential = direct;
-  sequential.shards = 1;
-  ExpectBitIdentical(got, RunTopKJoin(view, sequential),
-                     "planned vs sequential");
+  // And against the brute-force reference at the planned q.
+  ExpectBitIdentical(got,
+                     BruteForceTopK(view, k(), measure(), nullptr, plan.q),
+                     "planned vs brute force");
 }
 
 // The hybrid prefilter is bit-identical in BOTH of its control paths: the

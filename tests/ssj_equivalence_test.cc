@@ -1,12 +1,14 @@
 // Randomized equivalence harness for the QJoin engine: RunTopKJoin must
 // match BruteForceTopK(min_overlap = q) — the exact top-k restricted to
 // pairs sharing at least q tokens — across every SetMeasure, q in 1..4,
-// the seeded/excluded variants, and the sharded parallel mode.
+// the seeded/excluded variants, merged shard sub-joins, and long rows whose
+// shared tokens all sit past position 64.
 // Scores must agree exactly (both sides use the same merge + count
-// arithmetic); pair identity must agree everywhere except among equal-score
-// ties at the boundary (k-th) score, where either engine may legitimately
-// keep a different member of the tie.
+// arithmetic), and so must pair identity at every rank: both sides keep the
+// canonical k-minimum under (score desc, pair asc), so even equal-score
+// ties at the boundary (k-th) score resolve to the same pairs.
 
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -59,18 +61,16 @@ size_t OverlapOf(const ConfigView& view, RowId i, RowId j) {
   return overlap;
 }
 
-// Exact-score, boundary-tie-tolerant comparison (see file comment).
-void ExpectSameTopK(const TopKList& got, const TopKList& want) {
+// Pair and score equality at every rank, boundary ties included (see file
+// comment).
+void ExpectSameTopK(const TopKList& got, const TopKList& want,
+                    const std::string& label = "") {
   std::vector<ScoredPair> g = got.SortedDescending();
   std::vector<ScoredPair> w = want.SortedDescending();
-  ASSERT_EQ(g.size(), w.size());
-  if (w.empty()) return;
-  const double boundary = w.back().score;
+  ASSERT_EQ(g.size(), w.size()) << label;
   for (size_t r = 0; r < g.size(); ++r) {
-    ASSERT_EQ(g[r].score, w[r].score) << "rank " << r;
-    if (w[r].score != boundary) {
-      EXPECT_EQ(g[r].pair, w[r].pair) << "rank " << r;
-    }
+    EXPECT_EQ(g[r].pair, w[r].pair) << label << " rank " << r;
+    EXPECT_EQ(g[r].score, w[r].score) << label << " rank " << r;
   }
 }
 
@@ -177,6 +177,8 @@ TEST_P(SsjEquivalenceTest, MatchesBruteForceSeededAndMerged) {
                                      q()));
 }
 
+// The joint executor's shard tasks: the shard sub-join lists of one config,
+// merged through TopKList::Add, are the canonical top-k of the whole space.
 TEST_P(SsjEquivalenceTest, ShardedMatchesSequentialScores) {
   Rng rng(4000 + static_cast<uint64_t>(measure()) * 10 + q());
   auto [a, b] = RandomTables(rng, 90);
@@ -189,8 +191,173 @@ TEST_P(SsjEquivalenceTest, ShardedMatchesSequentialScores) {
   options.q = q();
   TopKList want = BruteForceTopK(view, options.k, measure(), nullptr, q());
   for (size_t shards : {size_t{2}, size_t{7}}) {
-    options.shards = shards;
-    ExpectSameTopK(RunTopKJoin(view, options), want);
+    TopKList merged(options.k);
+    for (size_t s = 0; s < shards; ++s) {
+      const TopKList shard = RunTopKJoinShard(view, options, s, shards);
+      for (const ScoredPair& entry : shard.Entries()) {
+        merged.Add(entry.pair, entry.score);
+      }
+    }
+    ExpectSameTopK(merged, want);
+  }
+}
+
+// Rows of 200+ distinct tokens: mostly rare ones (low ranks, early in the
+// rank-sorted row), then a few from a small mid-frequency pool and from 12
+// heavy hitters that most rows carry (the highest ranks, so the last
+// positions of every row). Pairs share their tokens deep in both prefixes,
+// so the "q-th shared token?" test runs with c = q - 1, q and q + 1 at
+// positions far past 64.
+std::pair<Table, Table> DeepPrefixTables(Rng& rng, size_t rows) {
+  Schema schema({{"text", AttributeType::kString}});
+  Table a(schema), b(schema);
+  auto make_row = [&](Table& table, const char* side) {
+    std::string text;
+    for (size_t t = 0; t < 200; ++t) {
+      if (t > 0) text += ' ';
+      // Side-private rare tokens: they lengthen the prefixes without ever
+      // being shared across the tables.
+      text += side + std::to_string(rng.NextBelow(20000));
+    }
+    for (size_t t = 0; t < 12; ++t) {
+      text += " m" + std::to_string(rng.NextZipf(30, 0.5));
+    }
+    for (size_t h = 0; h < 12; ++h) {
+      if (rng.NextBelow(4) != 0) text += " h" + std::to_string(h);
+    }
+    table.AddRow({text});
+  };
+  for (size_t i = 0; i < rows; ++i) {
+    make_row(a, "a");
+    make_row(b, "b");
+  }
+  return {std::move(a), std::move(b)};
+}
+
+// Position of the n-th (1-based) shared token of rows i and j in row i and
+// in row j, or {-1, -1} when they share fewer than n tokens.
+std::pair<long, long> NthSharedPositions(const ConfigView& view, RowId i,
+                                         RowId j, size_t n) {
+  TokenSpan a = view.a(i);
+  TokenSpan b = view.b(j);
+  size_t x = 0, y = 0, seen = 0;
+  while (x < a.size() && y < b.size()) {
+    if (a[x] == b[y]) {
+      if (++seen == n) return {static_cast<long>(x), static_cast<long>(y)};
+      ++x;
+      ++y;
+    } else if (a[x] < b[y]) {
+      ++x;
+    } else {
+      ++y;
+    }
+  }
+  return {-1, -1};
+}
+
+// Scores exactly (DirectPairScorer) and counts the Score calls per pair.
+class CountingScorer : public PairScorer {
+ public:
+  CountingScorer(const ConfigView* view, SetMeasure measure)
+      : direct_(view, measure) {}
+
+  double Score(RowId row_a, RowId row_b) override {
+    ++calls_[MakePairId(row_a, row_b)];
+    return direct_.Score(row_a, row_b);
+  }
+
+  const std::map<PairId, size_t>& calls() const { return calls_; }
+
+ private:
+  DirectPairScorer direct_;
+  std::map<PairId, size_t> calls_;
+};
+
+// An unseeded pass scores each pair at most once — at its q-th shared
+// token — so a count that misreads a later probe as the q-th shows up as a
+// second Score call even though the re-scored list is unchanged.
+void ExpectEachPairScoredOnceAtQ(const ConfigView& view,
+                                 const CountingScorer& scorer,
+                                 const TopKJoinStats& stats, size_t q,
+                                 const std::string& label) {
+  size_t total = 0;
+  for (const auto& [pair, calls] : scorer.calls()) {
+    EXPECT_EQ(calls, 1u) << label << " pair " << pair;
+    EXPECT_GE(OverlapOf(view, PairRowA(pair), PairRowB(pair)), q) << label;
+    total += calls;
+  }
+  EXPECT_EQ(total, stats.pairs_scored) << label;
+}
+
+TEST_P(SsjEquivalenceTest, DeepPrefixMatchesBruteForceAtEveryRank) {
+  Rng rng(6000 + static_cast<uint64_t>(measure()) * 10 + q());
+  auto [a, b] = DeepPrefixTables(rng, 40);
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0});
+  ConfigView view = corpus.MakeConfigView(0b1);
+
+  CandidateSet exclude;
+  for (RowId i = 0; i < 40; i += 3) exclude.Add(i, (i * 7 + 2) % 40);
+
+  TopKJoinOptions options;
+  options.k = 120;
+  options.measure = measure();
+  options.q = q();
+  options.exclude = &exclude;
+  TopKList want = BruteForceTopK(view, options.k, measure(), &exclude, q());
+  ASSERT_EQ(want.size(), options.k);
+
+  // The fixture reaches the deep probes: every listed pair shares only
+  // mid-frequency and heavy-hitter tokens, so its first shared token (and
+  // every later one) sits past position 64 in both rows, and some listed
+  // pairs share a (q+1)-th token, so probes with c = q + 1 occur too.
+  size_t past_q = 0;
+  for (const ScoredPair& entry : want.Entries()) {
+    const RowId i = PairRowA(entry.pair);
+    const RowId j = PairRowB(entry.pair);
+    auto [x, y] = NthSharedPositions(view, i, j, 1);
+    ASSERT_GT(x, 64);
+    ASSERT_GT(y, 64);
+    if (NthSharedPositions(view, i, j, q() + 1).first >= 0) ++past_q;
+  }
+  EXPECT_GT(past_q, 0u);
+
+  ExpectSameTopK(RunTopKJoin(view, options), want, "event engine");
+  {
+    CountingScorer counting(&view, measure());
+    TopKJoinStats stats;
+    ExpectSameTopK(RunTopKJoin(view, options, &counting, nullptr, &stats),
+                   want, "event engine, counted");
+    ExpectEachPairScoredOnceAtQ(view, counting, stats, q(), "event engine");
+  }
+
+  const double kth = want.KthScore();
+  const double overshoot = kth + (1.0 - kth) * 0.5 + 1e-6;
+  for (double tau : {kth, overshoot}) {
+    const std::string at = tau == kth ? " (done)" : " (restart)";
+    TopKJoinOptions hybrid = options;
+    hybrid.prefilter_threshold = tau;
+    TopKJoinStats hybrid_stats;
+    ExpectSameTopK(
+        RunTopKJoin(view, hybrid, nullptr, nullptr, &hybrid_stats), want,
+        "hybrid prefilter" + at);
+    EXPECT_EQ(hybrid_stats.prefilter_restarts, tau == kth ? 0u : 1u) << at;
+
+    TopKJoinStats threshold_stats;
+    ExpectSameTopK(
+        RunThresholdJoin(view, hybrid, nullptr, nullptr, &threshold_stats),
+        want, "threshold join" + at);
+    EXPECT_EQ(threshold_stats.prefilter_restarts, tau == kth ? 0u : 1u)
+        << at;
+  }
+  {
+    TopKJoinOptions threshold = options;
+    threshold.prefilter_threshold = kth;
+    CountingScorer counting(&view, measure());
+    TopKJoinStats stats;
+    ExpectSameTopK(
+        RunThresholdJoin(view, threshold, &counting, nullptr, &stats), want,
+        "threshold join, counted");
+    ExpectEachPairScoredOnceAtQ(view, counting, stats, q(), "threshold join");
   }
 }
 

@@ -4,7 +4,7 @@
 // bit-identical (pairs AND raw score bits at every rank) to the classic
 // top-k engine, whatever the bound: exact k-th (accept path), overshot
 // (restart path), or zero (everything survives). Holds across all four set
-// measures, a range of k, and shard counts 1 and 4; the executor dispatch
+// measures and a range of k; the executor dispatch
 // (JoinExecMode::kThreshold via a cached plan) is pinned the same way at 1
 // and 4 threads. Run under ASan by the ci.sh `plan-cache` stage.
 
@@ -89,7 +89,7 @@ class ThresholdJoinTest
 
 // tau at the true k-th score: the fixed-bound pass already sees everything
 // the final list holds, so the driver accepts without a restart and the
-// list matches the classic run rank for rank — at 1 and 4 shards.
+// list matches the classic run rank for rank.
 TEST_P(ThresholdJoinTest, MatchesClassicAtTrueKth) {
   for (size_t q : {size_t{1}, size_t{2}}) {
     Rng rng(9100 + static_cast<uint64_t>(measure()) * 100 + k() + q);
@@ -101,19 +101,13 @@ TEST_P(ThresholdJoinTest, MatchesClassicAtTrueKth) {
     const double tau = want.KthScore();
     if (!(tau > 0.0)) continue;  // Underfull list: tau=0 case covers it.
 
-    for (size_t shards : {size_t{1}, size_t{4}}) {
-      TopKJoinOptions options = BaseOptions(q);
-      options.prefilter_threshold = tau;
-      options.shards = shards;
-      TopKJoinStats stats;
-      TopKList got =
-          RunThresholdJoin(view, options, nullptr, nullptr, &stats);
-      ExpectBitIdentical(got, want,
-                         "q=" + std::to_string(q) +
-                             " shards=" + std::to_string(shards));
-      EXPECT_EQ(stats.prefilter_restarts, 0u)
-          << "tau == true k-th must accept without a restart";
-    }
+    TopKJoinOptions options = BaseOptions(q);
+    options.prefilter_threshold = tau;
+    TopKJoinStats stats;
+    TopKList got = RunThresholdJoin(view, options, nullptr, nullptr, &stats);
+    ExpectBitIdentical(got, want, "q=" + std::to_string(q));
+    EXPECT_EQ(stats.prefilter_restarts, 0u)
+        << "tau == true k-th must accept without a restart";
   }
 }
 
@@ -130,17 +124,14 @@ TEST_P(ThresholdJoinTest, MatchesClassicWhenTauOvershoots) {
   const double kth = want.KthScore();
   const double tau = kth + (1.0 - kth) * 0.5 + 1e-6;  // Strictly above.
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    TopKJoinOptions options = BaseOptions(1);
-    options.prefilter_threshold = tau;
-    options.shards = shards;
-    TopKJoinStats stats;
-    TopKList got = RunThresholdJoin(view, options, nullptr, nullptr, &stats);
-    ExpectBitIdentical(got, want, "shards=" + std::to_string(shards));
-    if (want.size() == k() && kth < tau) {
-      EXPECT_GE(stats.prefilter_restarts, 1u)
-          << "an overshot tau on a full list must go through the restart";
-    }
+  TopKJoinOptions options = BaseOptions(1);
+  options.prefilter_threshold = tau;
+  TopKJoinStats stats;
+  TopKList got = RunThresholdJoin(view, options, nullptr, nullptr, &stats);
+  ExpectBitIdentical(got, want, "overshot tau");
+  if (want.size() == k() && kth < tau) {
+    EXPECT_GE(stats.prefilter_restarts, 1u)
+        << "an overshot tau on a full list must go through the restart";
   }
 }
 
@@ -153,13 +144,9 @@ TEST_P(ThresholdJoinTest, MatchesClassicAtZeroTau) {
   ConfigView view = corpus.MakeConfigView(0b1);
 
   TopKList want = RunTopKJoin(view, BaseOptions(1));
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    TopKJoinOptions options = BaseOptions(1);
-    options.prefilter_threshold = 0.0;
-    options.shards = shards;
-    TopKList got = RunThresholdJoin(view, options);
-    ExpectBitIdentical(got, want, "shards=" + std::to_string(shards));
-  }
+  TopKJoinOptions options = BaseOptions(1);
+  options.prefilter_threshold = 0.0;
+  ExpectBitIdentical(RunThresholdJoin(view, options), want, "tau=0");
 }
 
 INSTANTIATE_TEST_SUITE_P(

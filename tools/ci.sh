@@ -75,6 +75,20 @@ for config in asan tsan; do
   done
 done
 
+# Join kernel: QJoin counts a probe's earlier shared tokens against a flag
+# table indexed by token rank (src/ssj/topk_join.cc, PrefixMarks), so a
+# rank outside the view's rank_limit() would index past it. The equivalence
+# suites (deep prefixes, every measure and q, hybrid and threshold paths)
+# and the joint determinism suite drive that table under ASan and UBSan,
+# whose trees also bounds-check vector indexes (_GLIBCXX_ASSERTIONS, see
+# CMakeLists.txt); the named stage makes the logs call the kernel out.
+echo "==== [join-kernel] join equivalence under ASan + UBSan ===="
+for config in asan ubsan; do
+  echo "---- [join-kernel] ${config} ----"
+  ctest --test-dir "${build_root}/${config}" --output-on-failure \
+      -R 'SsjEquivalence|ThresholdJoin|JointDeterminism'
+done
+
 # Planner equivalence: the cost-based join planner must pick plans whose
 # execution is bit-identical to running the same plan directly, across
 # measures, k values, hybrid prefilter paths (done + forced restart), and
