@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,32 +25,43 @@ namespace {
 // ---------------------------------------------------------------------------
 // Two-level executor.
 //
-// Level 1: configs are scheduled over the config tree parents-first — a
-// config's setup task is submitted only after its parent wrote its final
-// list, so every child seeds from a finished parent (no mid-run polling, no
-// idle spinning). Level 2: each config's join is decomposed into table-A
-// shard sub-joins (RunTopKJoinShard) that run as independent pool tasks, so
-// the machine stays busy even when few configs are ready.
+// Level 1: every config's setup task is submitted at once, in tree (BFS)
+// order, so no config waits for another to start. A config whose parent's
+// list is already final when its task starts seeds from it, re-adjusted to
+// the config; any other config joins unseeded, and its finish step folds
+// the parent's re-adjusted final list into its own once both have ended
+// (the paper's merge of a late parent, §4.2, with no polling). Level 2:
+// each config's join is decomposed into table-A shard sub-joins
+// (RunTopKJoinShard) that run as independent pool tasks, so the machine
+// stays busy even when few configs are left.
 //
 // Determinism: every shard list is the canonical top-k of its sub-space
 // under (score desc, pair asc), so the shard merge reproduces the
-// sequential join's list exactly; parents-first makes the seeds — and hence
-// every per-config list — identical for every thread count, shard count,
-// and scheduling interleaving.
+// sequential join's list exactly. With Q the config's q-eligible pair space
+// and S the parent's re-adjusted list, a seeded join returns topk(Q ∪ S)
+// and an unseeded one topk(Q); the finish step's topk(topk(Q) ∪ S) is the
+// same list, because a pair outside topk(Q) is beaten by k pairs of Q.
+// So every per-config list is identical for every thread count, shard
+// count, and scheduling interleaving, whichever configs happened to seed.
 //
-// Liveness: every setup path — cancelled, faulted, or normal — ends in
-// Cascade, which submits the children's setups once the (possibly empty)
-// list is written. No task ever blocks on another task, so a full drain of
-// the pool is guaranteed; a failed parent yields one incomplete config, not
-// an orphaned subtree.
+// Liveness: a node's finish step runs when its pending count reaches zero:
+// one event for its own join ending (or being skipped, or failing), one for
+// its parent finishing (non-roots only). Whichever event comes last runs
+// the step, and the step ends by signalling the children. No task ever
+// blocks on another task, so a full drain of the pool is guaranteed; a
+// failed parent yields one incomplete config, not an orphaned subtree.
 // ---------------------------------------------------------------------------
 
 class TwoLevelExecutor {
  public:
+  // `hybrid_step` is non-null when the planner ran fresh: the root's task
+  // then completes `result.plan` with PlanHybridPrefilter on its own view
+  // before it joins, off the other configs' critical path.
   TwoLevelExecutor(const SsjCorpus& corpus, const ConfigTree& tree,
                    const JointOptions& options, JointResult& result, size_t q,
                    bool overlap_reuse, OverlapCache& cache, ThreadPool& pool,
-                   size_t shards_per_config)
+                   size_t shards_per_config,
+                   const PlannerOptions* hybrid_step)
       : corpus_(corpus),
         tree_(tree),
         options_(options),
@@ -58,10 +70,12 @@ class TwoLevelExecutor {
         overlap_reuse_(overlap_reuse),
         cache_(cache),
         pool_(pool),
+        hybrid_step_(hybrid_step),
         nodes_(tree.size()) {
     for (size_t i = 0; i < tree_.size(); ++i) {
       const int32_t parent = tree_.nodes[i].parent;
       if (parent >= 0) nodes_[static_cast<size_t>(parent)].children.push_back(i);
+      nodes_[i].pending.store(parent >= 0 ? 2 : 1, std::memory_order_relaxed);
     }
     shard_count_ = shards_per_config != 0
                        ? shards_per_config
@@ -72,19 +86,9 @@ class TwoLevelExecutor {
                                         1, std::thread::hardware_concurrency())));
   }
 
-  // Hybrid prefilter threshold for the root config (< 0 = off) and how the
-  // root executes it (kHybridPrefilter vs the heap-free kThreshold driver).
-  // Set only when the planner ran and decided for the hybrid mode.
-  void SetRootPlan(double prefilter, JoinExecMode mode) {
-    root_prefilter_ = prefilter;
-    root_mode_ = mode;
-  }
-
   void Run() {
     for (size_t i = 0; i < tree_.size(); ++i) {
-      if (tree_.nodes[i].parent < 0) {
-        pool_.Submit([this, i] { StartNode(i); });
-      }
+      pool_.Submit([this, i] { StartNode(i); });
     }
     pool_.Wait();
   }
@@ -92,21 +96,34 @@ class TwoLevelExecutor {
  private:
   struct Node {
     std::vector<size_t> children;
-    // Setup products; alive from StartNode until FinishNode (shard tasks
-    // reference them).
-    ConfigView view;
+    // Events still to come before the finish step: the node's own join
+    // ending, plus its parent finishing for a non-root.
+    std::atomic<int> pending{0};
+    // Set (release) by the finish step once per_config[i].topk is final.
+    std::atomic<bool> final{false};
+    // Setup products; alive from StartNode until the join ends (shard
+    // tasks reference them). The view may live on into the finish step.
+    std::optional<ConfigView> view;
     std::vector<std::unique_ptr<CachingPairScorer>> scorers;  // Per shard.
     std::vector<ScoredPair> seed;
     bool use_seed = false;
+    // Setup succeeded, so the join ran (possibly cut short or failed).
+    bool ran = false;
+    // The join ran unseeded: the finish step folds the parent's list in.
+    bool merge_parent = false;
     std::vector<TopKList> shard_lists;
     std::vector<TopKJoinStats> shard_stats;
+    // Busy time of the setup step and of each shard; summed into the
+    // config's `seconds` by the merge, so time a shard spent queued is not
+    // counted.
+    double setup_seconds = 0.0;
+    std::vector<double> shard_seconds;
     std::atomic<size_t> shards_remaining{0};
     std::atomic<bool> failed{false};
     // Child of the session context (RunContext::WithParent): the session's
     // cancel/deadline still stops every shard, while a failed shard cancels
     // only its sibling shards — other configs keep running.
     RunContext context;
-    Stopwatch watch;
   };
 
   void RecordTaskError(const Status& status) {
@@ -114,95 +131,125 @@ class TwoLevelExecutor {
     if (result_.task_error.ok()) result_.task_error = status;
   }
 
-  // Node-ready step: build the view and scorers, re-adjust the parent's
-  // final list into the seed, and fan the config out into shard tasks.
+  // The parent's final list re-scored under the config's view (`scorer`
+  // null: direct scoring).
+  std::vector<ScoredPair> ReadjustParent(size_t index, const ConfigView& view,
+                                         PairScorer* scorer) const {
+    const std::vector<ScoredPair>& parent =
+        result_.per_config[static_cast<size_t>(tree_.nodes[index].parent)]
+            .topk;
+    if (scorer != nullptr) return ReadjustToConfig(parent, view, *scorer);
+    DirectPairScorer direct(&view, options_.measure);
+    return ReadjustToConfig(parent, view, direct);
+  }
+
+  // Setup task: build the view and scorers, seed from the parent's list if
+  // it is already final, and fan the config out into shard tasks. A
+  // cancelled run skips the config: its join ends at once, and the finish
+  // step still signals the children (which skip too).
   void StartNode(size_t index) {
+    Node& node = nodes_[index];
+    ConfigJoinResult& out = result_.per_config[index];
+    Stopwatch watch;
+    out.config = tree_.nodes[index].mask;
+    out.completed = false;
+    bool run_last_shard = false;
+    if (!options_.run_context.Cancelled()) {
+      try {
+        SetUpNode(index);
+        run_last_shard = true;
+      } catch (const std::exception& e) {
+        RecordTaskError(
+            Status::Internal(std::string("config task threw: ") + e.what()));
+        node.failed.store(true, std::memory_order_relaxed);
+      } catch (...) {
+        RecordTaskError(
+            Status::Internal("config task threw a non-std exception"));
+        node.failed.store(true, std::memory_order_relaxed);
+      }
+    }
+    node.setup_seconds = watch.ElapsedSeconds();
+    // The setup task runs the config's last shard itself, outside the try:
+    // the shard task handles its own failures. The config then starts
+    // joining at once instead of queueing behind the sibling setups and
+    // shards already in the FIFO, so setups do not pile up views and
+    // scorer snapshots for configs that cannot run yet.
+    if (run_last_shard) {
+      RunShardTask(index, shard_count_ - 1);
+    } else {
+      EndJoin(index);
+    }
+  }
+
+  void SetUpNode(size_t index) {
     Node& node = nodes_[index];
     const ConfigNode& tree_node = tree_.nodes[index];
     ConfigJoinResult& out = result_.per_config[index];
-    node.watch.Reset();
-    out.config = tree_node.mask;
-    out.completed = false;
-    bool run_last_shard = false;
-    try {
-      if (options_.run_context.Cancelled()) {
-        // Skipped entirely; children still cascade (and skip too).
-        Cascade(index);
-        return;
-      }
-      if (MC_FAULT_POINT("joint/run_node") == FaultKind::kThrow) {
-        throw std::runtime_error("injected fault: joint/run_node " +
-                                 std::to_string(index));
-      }
-
-      Stopwatch view_watch;
-      node.view = corpus_.MakeConfigView(tree_node.mask);
-      out.view_seconds = view_watch.ElapsedSeconds();
-      out.shards_used = shard_count_;
-
-      // Per-shard caching scorers: CachingPairScorer is single-threaded
-      // (local snapshot + counters), so each shard gets its own instance
-      // over the shared concurrent cache. Snapshots taken here — after the
-      // parent finished — already contain every ancestor's kept pairs. The
-      // scorers only read: FinishNode writes the k pairs that survived,
-      // once, which is all a child's snapshot can observe anyway, since
-      // children start only after the parent finished.
-      if (overlap_reuse_) {
-        node.scorers.reserve(shard_count_);
-        for (size_t s = 0; s < shard_count_; ++s) {
-          node.scorers.push_back(std::make_unique<CachingPairScorer>(
-              &node.view, tree_node.mask, options_.measure, &cache_));
-        }
-      }
-
-      // Parents-first guarantee: the parent's final list was written before
-      // this task was submitted, so it is read in place — no copy, no
-      // polling.
-      if (options_.reuse_topk && tree_node.parent >= 0) {
-        const std::vector<ScoredPair>& parent =
-            result_.per_config[static_cast<size_t>(tree_node.parent)].topk;
-        if (!node.scorers.empty()) {
-          node.seed = ReadjustToConfig(parent, node.view, *node.scorers[0]);
-        } else {
-          DirectPairScorer direct(&node.view, options_.measure);
-          node.seed = ReadjustToConfig(parent, node.view, direct);
-        }
-        node.use_seed = true;
-        out.seeded_from_parent = true;
-      }
-
-      node.context = RunContext::WithParent(options_.run_context);
-      node.shard_lists.reserve(shard_count_);
-      for (size_t s = 0; s < shard_count_; ++s) {
-        node.shard_lists.emplace_back(options_.k);
-      }
-      node.shard_stats.assign(shard_count_, TopKJoinStats{});
-      node.shards_remaining.store(shard_count_, std::memory_order_relaxed);
-      for (size_t s = 0; s + 1 < shard_count_; ++s) {
-        pool_.Submit([this, index, s] { RunShardTask(index, s); });
-      }
-      run_last_shard = true;
-    } catch (const std::exception& e) {
-      RecordTaskError(
-          Status::Internal(std::string("config task threw: ") + e.what()));
-      node.failed.store(true, std::memory_order_relaxed);
-      Cascade(index);
-    } catch (...) {
-      RecordTaskError(
-          Status::Internal("config task threw a non-std exception"));
-      node.failed.store(true, std::memory_order_relaxed);
-      Cascade(index);
+    if (MC_FAULT_POINT("joint/run_node") == FaultKind::kThrow) {
+      throw std::runtime_error("injected fault: joint/run_node " +
+                               std::to_string(index));
     }
-    // The setup task runs the config's last shard itself, outside the try:
-    // the shard task handles its own failures. The config then starts
-    // joining at once instead of queueing behind the sibling setups already
-    // in the FIFO, so setups do not pile up views, scorer snapshots and
-    // seeds for configs that cannot run yet.
-    if (run_last_shard) RunShardTask(index, shard_count_ - 1);
+
+    Stopwatch view_watch;
+    node.view = corpus_.MakeConfigView(tree_node.mask);
+    out.view_seconds = view_watch.ElapsedSeconds();
+    out.shards_used = shard_count_;
+
+    if (index == 0 && result_.planner_used) {
+      if (hybrid_step_ != nullptr) {
+        PlanHybridPrefilter(*node.view, *hybrid_step_, &result_.plan);
+      }
+      if (result_.plan.hybrid) {
+        root_prefilter_ = result_.plan.prefilter_threshold;
+        root_mode_ = result_.plan.mode;
+      }
+    }
+
+    // Per-shard caching scorers: CachingPairScorer is single-threaded
+    // (local snapshot + counters), so each shard gets its own instance
+    // over the shared concurrent cache. The snapshots hold every pair
+    // that finished configs published before this point; later pairs are
+    // recomputed on a miss.
+    if (overlap_reuse_) {
+      node.scorers.reserve(shard_count_);
+      for (size_t s = 0; s < shard_count_; ++s) {
+        node.scorers.push_back(std::make_unique<CachingPairScorer>(
+            &*node.view, tree_node.mask, options_.measure, &cache_));
+      }
+    }
+
+    // A parent that is already final is read in place — no copy, no
+    // polling. Otherwise the join runs unseeded and the finish step
+    // merges the parent's list.
+    const bool reuse_parent = options_.reuse_topk && tree_node.parent >= 0;
+    if (reuse_parent &&
+        nodes_[static_cast<size_t>(tree_node.parent)].final.load(
+            std::memory_order_acquire)) {
+      node.seed = ReadjustParent(
+          index, *node.view,
+          node.scorers.empty() ? nullptr : node.scorers[0].get());
+      node.use_seed = true;
+    }
+
+    node.context = RunContext::WithParent(options_.run_context);
+    node.shard_lists.reserve(shard_count_);
+    for (size_t s = 0; s < shard_count_; ++s) {
+      node.shard_lists.emplace_back(options_.k);
+    }
+    node.shard_stats.assign(shard_count_, TopKJoinStats{});
+    node.shard_seconds.assign(shard_count_, 0.0);
+    node.shards_remaining.store(shard_count_, std::memory_order_relaxed);
+    node.ran = true;
+    node.merge_parent = reuse_parent && !node.use_seed;
+    out.seeded_from_parent = reuse_parent;
+    for (size_t s = 0; s + 1 < shard_count_; ++s) {
+      pool_.Submit([this, index, s] { RunShardTask(index, s); });
+    }
   }
 
   void RunShardTask(size_t index, size_t s) {
     Node& node = nodes_[index];
+    Stopwatch watch;
     try {
       if (MC_FAULT_POINT("joint/shard_task") == FaultKind::kThrow) {
         throw std::runtime_error("injected fault: joint/shard_task " +
@@ -227,23 +274,20 @@ class TwoLevelExecutor {
         ConfigJoinResult& out = result_.per_config[index];
         out.mode = root_mode_;
         out.prefilter_threshold = root_prefilter_;
-        // Threshold-mode dispatch: the plan's fixed bound runs the
-        // heap-free driver instead of the prefiltered event engine. Same
-        // gate, same accept-or-restart contract, bit-identical output.
-        if (root_mode_ == JoinExecMode::kThreshold) {
-          node.shard_lists[s] = RunThresholdJoin(node.view, join_options,
-                                                 scorer, /*seed=*/nullptr,
-                                                 &node.shard_stats[s]);
-          if (node.shards_remaining.fetch_sub(
-                  1, std::memory_order_acq_rel) == 1) {
-            FinishNode(index);
-          }
-          return;
-        }
       }
-      node.shard_lists[s] = RunTopKJoinShard(
-          node.view, join_options, s, shard_count_, scorer,
-          node.use_seed ? &node.seed : nullptr, &node.shard_stats[s]);
+      // Threshold-mode dispatch: the plan's fixed bound runs the heap-free
+      // driver instead of the prefiltered event engine. Same gate, same
+      // accept-or-restart contract, bit-identical output.
+      if (join_options.prefilter_threshold >= 0.0 &&
+          root_mode_ == JoinExecMode::kThreshold) {
+        node.shard_lists[s] = RunThresholdJoin(*node.view, join_options,
+                                               scorer, /*seed=*/nullptr,
+                                               &node.shard_stats[s]);
+      } else {
+        node.shard_lists[s] = RunTopKJoinShard(
+            *node.view, join_options, s, shard_count_, scorer,
+            node.use_seed ? &node.seed : nullptr, &node.shard_stats[s]);
+      }
     } catch (const std::exception& e) {
       RecordTaskError(
           Status::Internal(std::string("config task threw: ") + e.what()));
@@ -259,19 +303,20 @@ class TwoLevelExecutor {
       node.shard_stats[s].truncated = true;
       node.context.Cancel();
     }
-    // The last shard to finish merges and cascades (acq_rel: it observes
-    // every other shard's list writes).
+    node.shard_seconds[s] = watch.ElapsedSeconds();
+    // The last shard to finish merges and ends the join (acq_rel: it
+    // observes every other shard's list writes).
     if (node.shards_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      FinishNode(index);
+      MergeShards(index);
     }
   }
 
   // Runs on the worker that finished the config's last shard: merge the
-  // shard lists deterministically, finalize the per-config result, release
-  // the setup products, and cascade the children.
-  void FinishNode(size_t index) {
+  // shard lists deterministically and end the join.
+  void MergeShards(size_t index) {
     Node& node = nodes_[index];
     ConfigJoinResult& out = result_.per_config[index];
+    Stopwatch watch;
 
     TopKList merged(options_.k);
     for (const TopKList& list : node.shard_lists) {
@@ -293,11 +338,77 @@ class TwoLevelExecutor {
       out.cache_misses += scorer->cache_misses();
     }
     out.topk = merged.SortedDescending();
-    // Cache writes: publish the overlap structure of the pairs that
-    // survived the merge — exactly what descendants' snapshots will
-    // re-score. Insert-only, first writer wins, so pairs already published
-    // by an ancestor skip the ComputeShared entirely.
-    if (!node.scorers.empty()) {
+    for (double seconds : node.shard_seconds) out.seconds += seconds;
+    out.seconds += watch.ElapsedSeconds();
+    EndJoin(index);
+  }
+
+  // Every path of a node's join — skipped, failed in setup, or merged —
+  // ends here exactly once. Releases the setup products, keeping only the
+  // list (and the view when the finish step can use it at once), then
+  // counts the join-done event.
+  void EndJoin(size_t index) {
+    Node& node = nodes_[index];
+    result_.per_config[index].seconds += node.setup_seconds;
+    node.scorers.clear();
+    node.seed.clear();
+    node.seed.shrink_to_fit();
+    node.shard_lists.clear();
+    node.shard_stats.clear();
+    node.shard_seconds.clear();
+    // The view's scratch buffer returns to the corpus pool for the configs
+    // still to come, unless the finish step is about to re-adjust the
+    // (already final) parent list with it. A parent that becomes final
+    // later finds the view gone, and the finish step rebuilds it.
+    const bool parent_final =
+        node.merge_parent &&
+        nodes_[static_cast<size_t>(tree_.nodes[index].parent)].final.load(
+            std::memory_order_acquire);
+    if (!parent_final) node.view.reset();
+    if (node.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Finish(index);
+    }
+  }
+
+  // Runs once per node, when its join has ended and its parent (if any) is
+  // final: fold the parent's re-adjusted list into an unseeded config's
+  // list, publish the list to the overlap cache, mark it final, and signal
+  // the children. `seconds` counts this step's own time, not the wait.
+  void Finish(size_t index) {
+    Node& node = nodes_[index];
+    const ConfigNode& tree_node = tree_.nodes[index];
+    ConfigJoinResult& out = result_.per_config[index];
+    Stopwatch watch;
+    if (node.merge_parent) {
+      if (!node.view) {
+        Stopwatch view_watch;
+        node.view = corpus_.MakeConfigView(tree_node.mask);
+        out.view_seconds += view_watch.ElapsedSeconds();
+      }
+      // A scorer snapshot taken now sees the pairs the parent just
+      // published, which are exactly the pairs re-scored here.
+      std::optional<CachingPairScorer> scorer;
+      if (overlap_reuse_) {
+        scorer.emplace(&*node.view, tree_node.mask, options_.measure, &cache_);
+      }
+      const std::vector<ScoredPair> adjusted = ReadjustParent(
+          index, *node.view, scorer ? &*scorer : nullptr);
+      if (scorer) {
+        out.cache_hits += scorer->cache_hits();
+        out.cache_misses += scorer->cache_misses();
+      }
+      scorer.reset();
+      node.view.reset();
+      TopKList merged(options_.k);
+      merged.MergeFrom(out.topk);
+      merged.MergeFrom(adjusted);
+      out.topk = merged.SortedDescending();
+    }
+    // Cache writes: publish the overlap structure of the pairs in the final
+    // list — exactly what descendants re-score. Insert-only, first writer
+    // wins, so pairs already published by an ancestor skip the
+    // ComputeShared entirely.
+    if (overlap_reuse_) {
       for (const ScoredPair& entry : out.topk) {
         cache_.InsertWith(entry.pair, [&] {
           return OverlapCache::ComputeShared(
@@ -306,28 +417,18 @@ class TwoLevelExecutor {
         });
       }
     }
-    out.completed =
-        !out.stats.truncated && !node.failed.load(std::memory_order_relaxed);
-    out.seconds = node.watch.ElapsedSeconds();
+    out.completed = node.ran && !out.stats.truncated &&
+                    !node.failed.load(std::memory_order_relaxed);
+    out.seconds += watch.ElapsedSeconds();
+    node.final.store(true, std::memory_order_release);
 
-    // Release the setup products now: the view's scratch buffer returns to
-    // the corpus pool for the configs still to come.
-    node.scorers.clear();
-    node.view = ConfigView();
-    node.seed.clear();
-    node.seed.shrink_to_fit();
-    node.shard_lists.clear();
-    node.shard_stats.clear();
-
-    Cascade(index);
-  }
-
-  // Every setup/finish path ends here exactly once per node, after the
-  // node's (possibly empty) final list is written: submit the children's
-  // setup tasks, which read that list as their seed.
-  void Cascade(size_t index) {
-    for (size_t child : nodes_[index].children) {
-      pool_.Submit([this, child] { StartNode(child); });
+    // A child whose join already ended finishes on a pool task of its own,
+    // so the children's merges run in parallel.
+    for (size_t child : node.children) {
+      if (nodes_[child].pending.fetch_sub(1, std::memory_order_acq_rel) ==
+          1) {
+        pool_.Submit([this, child] { Finish(child); });
+      }
     }
   }
 
@@ -341,6 +442,7 @@ class TwoLevelExecutor {
   // The executor's one pool: created before planning (the planner's probes
   // run on it) and shared by the config tasks.
   ThreadPool& pool_;
+  const PlannerOptions* const hybrid_step_;
   std::vector<Node> nodes_;
   size_t shard_count_ = 1;
   double root_prefilter_ = -1.0;
@@ -357,9 +459,9 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   JointResult result;
   result.per_config.resize(tree.size());
 
-  // Decide the plan (q, shard hint, hybrid prefilter) on the root config
-  // with the cost-based planner. It respects the run context, so a deadline
-  // also bounds this warm-up phase.
+  // Decide q and the shard hint on the root config with the cost-based
+  // planner (the root's task completes the plan's hybrid step). It respects
+  // the run context, so a deadline also bounds this warm-up phase.
   size_t q = options.q;
   Stopwatch root_view_watch;
   ConfigView root_view = corpus.MakeConfigView(tree.nodes[0].mask);
@@ -373,6 +475,8 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
   ThreadPool pool(num_threads, ThreadPoolOptions{.name_prefix = "mc-joint",
                                                  .topology_aware = true});
   Stopwatch q_watch;
+  PlannerOptions planner_options;
+  bool hybrid_in_root = false;
   if (q == 0) {
     if (options.cached_plan != nullptr) {
       // Cross-session plan cache hit: skip the sampling probes entirely.
@@ -382,14 +486,16 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
       result.plan = *options.cached_plan;
       result.plan_from_cache = true;
     } else {
-      PlannerOptions planner_options;
       planner_options.k = options.k;
       planner_options.measure = options.measure;
       planner_options.exclude = options.exclude;
       planner_options.seed = options.planner_seed;
       planner_options.max_shards = num_threads;
       planner_options.run_context = options.run_context;
-      result.plan = PlanTopKJoin(corpus, root_view, planner_options, &pool);
+      // The q-probe wave only: every config needs q before it starts. The
+      // hybrid step concerns the root's join alone and runs in its task.
+      result.plan = PlanTopKJoinQ(corpus, root_view, planner_options, &pool);
+      hybrid_in_root = true;
     }
     result.planner_used = true;
     q = result.plan.q;
@@ -420,10 +526,8 @@ JointResult RunJointTopKJoins(const SsjCorpus& corpus, const ConfigTree& tree,
     shards_per_config = result.plan.shards;
   }
   TwoLevelExecutor executor(corpus, tree, options, result, q, overlap_reuse,
-                            cache, pool, shards_per_config);
-  if (result.planner_used && result.plan.hybrid) {
-    executor.SetRootPlan(result.plan.prefilter_threshold, result.plan.mode);
-  }
+                            cache, pool, shards_per_config,
+                            hybrid_in_root ? &planner_options : nullptr);
   executor.Run();
 
   result.plan_decisions.reserve(tree.size());

@@ -56,10 +56,12 @@ struct JointOptions {
   size_t overlap_cache_shards = 0;
   /// Reuse similarity-score computations through the shared overlap cache.
   bool reuse_overlaps = true;
-  /// Seed each config's top-k list from its parent's re-adjusted list. A
-  /// config starts only after its parent finished, so the seed is always
-  /// the parent's final list (the paper's mid-run merge of a late parent,
-  /// §4.2, is never needed).
+  /// Fold each config's parent list, re-adjusted to the config, into the
+  /// config's top-k list (paper §4.2). Every config starts at once; one
+  /// whose parent is already final seeds its join from that list, any
+  /// other joins unseeded and merges the parent's final list when both
+  /// have ended. The two give the same list, because top-k is
+  /// decomposable: topk(Q ∪ S) = topk(topk(Q) ∪ S).
   bool reuse_topk = true;
   /// Overlap reuse triggers only when the average tuple length (in tokens,
   /// over the root config) is at least this (paper's t = 20).
@@ -84,6 +86,9 @@ struct ConfigJoinResult {
   /// Top-k pairs, ordered by (score desc, pair asc).
   std::vector<ScoredPair> topk;
   TopKJoinStats stats;
+  /// The config's own busy time: setup, plus each of its shards, plus the
+  /// shard merge and the finish step. Time spent waiting, for a worker or
+  /// for the parent's list, is not counted.
   double seconds = 0.0;
   /// Time spent building this config's token view (part of `seconds`).
   double view_seconds = 0.0;
@@ -97,6 +102,8 @@ struct ConfigJoinResult {
   /// root that never ran (skipped or failed in setup).
   JoinExecMode mode = JoinExecMode::kTopK;
   double prefilter_threshold = -1.0;
+  /// The parent's re-adjusted list is folded into `topk`: seeded into the
+  /// join, or merged at its end when the parent finished later.
   bool seeded_from_parent = false;
   /// False when this config's join was cut short (deadline/cancel) or its
   /// task failed; `topk` then holds the best-so-far list (possibly empty),
@@ -125,14 +132,16 @@ struct ConfigPlanDecision {
 /// Where the joint execution spent its time, aggregated across configs
 /// (bench/micro_joint reports these alongside corpus-build timings).
 struct JointStageTimings {
-  /// The optional plan-selection phase (cost-based planner; runs once, on
-  /// the root view).
+  /// The optional plan-selection phase: the cost-based planner's q-probe
+  /// wave on the root view, before any config starts. The hybrid step's
+  /// half-sample probe runs in the root's task and counts in its `seconds`.
   double q_select_seconds = 0.0;
   /// Sum of per-config view construction times.
   double view_seconds = 0.0;
-  /// Sum of per-config join execution times (shard runs + merge + seeding;
-  /// per-config `seconds` minus `view_seconds`). Sums task time, not wall
-  /// time: with parallel workers this exceeds the elapsed total_seconds.
+  /// Sum of per-config join execution times (shard runs + merges +
+  /// seeding; per-config `seconds` minus `view_seconds`). Sums task time,
+  /// not wall time: with parallel workers this exceeds the elapsed
+  /// total_seconds.
   double join_seconds = 0.0;
 };
 
@@ -147,7 +156,9 @@ struct JointResult {
   /// The q value actually used (after the optional planner).
   size_t q_used = 1;
   /// The cost-based plan, when the planner ran (q == 0);
-  /// default-constructed otherwise.
+  /// default-constructed otherwise. A fresh plan's hybrid step runs inside
+  /// the root config's task, so a run that skipped the root (cancelled, or
+  /// failed in setup; `truncated` is then set) leaves it incomplete.
   JoinPlan plan;
   bool planner_used = false;
   /// True when `plan` came from JointOptions::cached_plan instead of a

@@ -80,8 +80,8 @@ uint64_t PlannerSeedFromEnv() {
   return static_cast<uint64_t>(value);
 }
 
-JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
-                      const PlannerOptions& options, ThreadPool* pool) {
+JoinPlan PlanTopKJoinQ(const SsjCorpus& corpus, const ConfigView& view,
+                       const PlannerOptions& options, ThreadPool* pool) {
   JoinPlan plan;
   const CorpusPlannerStats& stats = corpus.PlannerStats();
   plan.stats_generation = stats.generation;
@@ -198,6 +198,19 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
                           static_cast<size_t>(plan.est_events /
                                               kMinEventsPerShard)));
 
+  // The hybrid step (PlanHybridPrefilter) starts from the full sample's
+  // k-th score; it is planned only for single-shard execution and needs a
+  // nested half sample to compare against.
+  if (plan.shards == 1 && rate * 2 <= rows_a) {
+    const TopKList& full_sample = probe_lists[best_q - 1];
+    if (full_sample.full()) plan.sampled_kth = full_sample.KthScore();
+  }
+  return plan;
+}
+
+void PlanHybridPrefilter(const ConfigView& view, const PlannerOptions& options,
+                         JoinPlan* plan) {
+  if (plan->truncated || plan->sampled_kth < 0.0) return;
   // Hybrid decision: seed the threshold pass with the sampled k-th estimate
   // when it stabilized across nested samples. The full sample's rank-scaled
   // k-th (ceil(k/N)-th of a 1-in-N sample) estimates the true k-th; the
@@ -210,62 +223,61 @@ JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
   // the seed low, trading a little pruning for restart headroom. Only
   // planned for single-shard execution — a shard's sub-space k-th can sit
   // below the full-space estimate, which would force per-shard restarts.
-  if (plan.shards == 1 && rate * 2 <= rows_a) {
-    const TopKList& full_sample = probe_lists[best_q - 1];
-    if (full_sample.full()) {
-      plan.sampled_kth = full_sample.KthScore();
-      TopKJoinOptions probe;
-      probe.k = ProbeK(options.k, rate * 2);
-      probe.measure = options.measure;
-      probe.q = best_q;
-      probe.exclude = options.exclude;
-      probe.run_context = options.run_context;
-      TopKJoinStats half_stats;
-      const size_t half_b_rate = std::min<size_t>(rate * 2, view.rows_b());
-      TopKList half_sample =
-          RunTopKJoinShard(view, probe, offset, rate * 2, /*scorer=*/nullptr,
-                           /*seed=*/nullptr, &half_stats,
-                           offset % half_b_rate, half_b_rate);
-      if (!half_stats.truncated && half_sample.full()) {
-        plan.half_sample_kth = half_sample.KthScore();
-        const double drift =
-            std::abs(plan.sampled_kth - plan.half_sample_kth);
-        if (drift <=
-            kKthStabilityTolerance * std::max(plan.sampled_kth, 1e-12)) {
-          plan.hybrid = true;
-          plan.prefilter_threshold =
-              std::min(plan.sampled_kth, plan.half_sample_kth);
-          plan.mode = JoinExecMode::kHybridPrefilter;
-          // Threshold-driver promotion: estimate how much of both tables'
-          // token mass the fixed bound strips. The truncated prefix length
-          // is a pure function of (measure, length, q, threshold), so the
-          // fraction — and hence the mode — is deterministic for a fixed
-          // plan.
-          size_t kept = 0;
-          size_t total = 0;
-          for (size_t row = 0; row < view.rows_a(); ++row) {
-            const size_t len = view.a(row).size();
-            kept += ThresholdPrefixLength(options.measure, len, best_q,
-                                          plan.prefilter_threshold);
-            total += len;
-          }
-          for (size_t row = 0; row < view.rows_b(); ++row) {
-            const size_t len = view.b(row).size();
-            kept += ThresholdPrefixLength(options.measure, len, best_q,
-                                          plan.prefilter_threshold);
-            total += len;
-          }
-          plan.threshold_prefix_fraction =
-              total == 0 ? 1.0
-                         : static_cast<double>(kept) /
-                               static_cast<double>(total);
-          if (plan.threshold_prefix_fraction <= kMaxThresholdPrefixFraction) {
-            plan.mode = JoinExecMode::kThreshold;
-          }
-        }
-      }
-    }
+  const size_t rate = plan->sample_rate;
+  const size_t offset = plan->seed % rate;
+  const size_t q = plan->q;
+  TopKJoinOptions probe;
+  probe.k = ProbeK(options.k, rate * 2);
+  probe.measure = options.measure;
+  probe.q = q;
+  probe.exclude = options.exclude;
+  probe.run_context = options.run_context;
+  TopKJoinStats half_stats;
+  const size_t half_b_rate = std::min<size_t>(rate * 2, view.rows_b());
+  TopKList half_sample =
+      RunTopKJoinShard(view, probe, offset, rate * 2, /*scorer=*/nullptr,
+                       /*seed=*/nullptr, &half_stats, offset % half_b_rate,
+                       half_b_rate);
+  if (half_stats.truncated || !half_sample.full()) return;
+  plan->half_sample_kth = half_sample.KthScore();
+  const double drift = std::abs(plan->sampled_kth - plan->half_sample_kth);
+  if (drift > kKthStabilityTolerance * std::max(plan->sampled_kth, 1e-12)) {
+    return;
   }
+  plan->hybrid = true;
+  plan->prefilter_threshold =
+      std::min(plan->sampled_kth, plan->half_sample_kth);
+  plan->mode = JoinExecMode::kHybridPrefilter;
+  // Threshold-driver promotion: estimate how much of both tables' token
+  // mass the fixed bound strips. The truncated prefix length is a pure
+  // function of (measure, length, q, threshold), so the fraction — and
+  // hence the mode — is deterministic for a fixed plan.
+  size_t kept = 0;
+  size_t total = 0;
+  for (size_t row = 0; row < view.rows_a(); ++row) {
+    const size_t len = view.a(row).size();
+    kept += ThresholdPrefixLength(options.measure, len, q,
+                                  plan->prefilter_threshold);
+    total += len;
+  }
+  for (size_t row = 0; row < view.rows_b(); ++row) {
+    const size_t len = view.b(row).size();
+    kept += ThresholdPrefixLength(options.measure, len, q,
+                                  plan->prefilter_threshold);
+    total += len;
+  }
+  plan->threshold_prefix_fraction =
+      total == 0 ? 1.0
+                 : static_cast<double>(kept) / static_cast<double>(total);
+  if (plan->threshold_prefix_fraction <= kMaxThresholdPrefixFraction) {
+    plan->mode = JoinExecMode::kThreshold;
+  }
+}
+
+JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
+                      const PlannerOptions& options, ThreadPool* pool) {
+  JoinPlan plan = PlanTopKJoinQ(corpus, view, options, pool);
+  PlanHybridPrefilter(view, options, &plan);
   return plan;
 }
 

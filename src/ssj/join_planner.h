@@ -139,7 +139,8 @@ struct JoinPlan {
 /// a fixed default. Exposed for tests and tools.
 uint64_t PlannerSeedFromEnv();
 
-/// Plans the top-k join of `view` (a view of `corpus`): collects the
+/// Plans the top-k join of `view` (a view of `corpus`) in full: the
+/// composition PlanTopKJoinQ then PlanHybridPrefilter. Collects the
 /// per-generation corpus statistics, runs one seeded systematic-sample
 /// probe join per candidate q — the probe *is* a shard sub-join, so its
 /// engine, bounds, and counters match real execution exactly — extrapolates
@@ -156,6 +157,24 @@ uint64_t PlannerSeedFromEnv();
 JoinPlan PlanTopKJoin(const SsjCorpus& corpus, const ConfigView& view,
                       const PlannerOptions& options,
                       ThreadPool* pool = nullptr);
+
+/// The first step of PlanTopKJoin: the per-q probe wave, the argmin q, the
+/// shard hint, and (for a single-shard plan whose sample can be halved)
+/// `sampled_kth`. Leaves the hybrid fields at their defaults. The joint
+/// executor runs it before any config starts, because every config needs q.
+JoinPlan PlanTopKJoinQ(const SsjCorpus& corpus, const ConfigView& view,
+                       const PlannerOptions& options,
+                       ThreadPool* pool = nullptr);
+
+/// The second step of PlanTopKJoin: the nested half-sample probe and, when
+/// the sampled k-th score is stable, the hybrid prefilter threshold and the
+/// prefix-fraction scan that picks kHybridPrefilter or kThreshold. A no-op
+/// unless `plan` came from PlanTopKJoinQ over the same view and options with
+/// `sampled_kth` set. Runs on the calling thread; only the root config's
+/// join reads its result, so the joint executor runs it inside the root's
+/// own task.
+void PlanHybridPrefilter(const ConfigView& view, const PlannerOptions& options,
+                         JoinPlan* plan);
 
 }  // namespace mc
 

@@ -87,23 +87,38 @@ TEST(JointDeterminismTest, BitIdenticalAcrossThreadsShardsAndSchedulers) {
   SsjCorpus corpus = SsjCorpus::Build(a, b, {0, 1, 2});
   ConfigTree tree = GenerateConfigTree(ThreeColumnAttrs());
 
-  for (bool reuse : {false, true}) {
+  struct Case {
+    bool reuse;
+    size_t q;
+  };
+  for (const Case& c : {Case{false, 1}, Case{true, 1}, Case{true, 2},
+                        Case{true, 3}}) {
     JointOptions base;
     base.k = 25;
-    base.q = 1;
-    base.reuse_overlaps = reuse;
-    base.reuse_topk = reuse;
+    base.q = c.q;
+    base.reuse_overlaps = c.reuse;
+    base.reuse_topk = c.reuse;
     base.reuse_min_avg_tokens = 0.0;
 
     // Reference: brute-force top-k of every config over the pairs sharing
-    // at least q tokens (Theorem 4.2: at q = 1 the joint result is exact,
-    // with or without reuse).
+    // at least q tokens, with top-k reuse folding in the parent's
+    // reference list re-adjusted to the config:
+    // topk(BruteForce(q) ∪ ReadjustToConfig(ref[parent])). At q = 1 every
+    // re-adjusted pair with a token in common is already a candidate, so
+    // the reference is the exact top-k of the config (Theorem 4.2), with
+    // or without reuse; at q > 1 the parent's list can add pairs below the
+    // q floor.
     std::vector<std::vector<ScoredPair>> ref;
     for (const ConfigNode& node : tree.nodes) {
       const ConfigView view = corpus.MakeConfigView(node.mask);
-      ref.push_back(BruteForceTopK(view, base.k, base.measure, base.exclude,
-                                   /*min_overlap=*/base.q)
-                        .SortedDescending());
+      TopKList list = BruteForceTopK(view, base.k, base.measure, base.exclude,
+                                     /*min_overlap=*/base.q);
+      if (c.reuse && node.parent >= 0) {
+        DirectPairScorer scorer(&view, base.measure);
+        list.MergeFrom(ReadjustToConfig(
+            ref[static_cast<size_t>(node.parent)], view, scorer));
+      }
+      ref.push_back(list.SortedDescending());
     }
 
     for (size_t threads : {size_t{1}, size_t{2}, size_t{7}}) {
@@ -118,8 +133,9 @@ TEST(JointDeterminismTest, BitIdenticalAcrossThreadsShardsAndSchedulers) {
         }
         ExpectIdenticalResults(
             got, ref,
-            "reuse=" + std::to_string(reuse) + " threads=" +
-                std::to_string(threads) + " shards=" + std::to_string(shards));
+            "reuse=" + std::to_string(c.reuse) + " q=" + std::to_string(c.q) +
+                " threads=" + std::to_string(threads) +
+                " shards=" + std::to_string(shards));
       }
     }
   }
@@ -296,19 +312,23 @@ TEST_F(JointShardFaultTest, ThrowingShardTaskIsCapturedNotFatal) {
   options.shards_per_config = 3;
   JointResult joint = RunJointTopKJoins(corpus, tree, options);
 
-  // The first shard task to run belongs to the root (parents-first: only
-  // the root's shards are in flight initially), so exactly that config is
-  // incomplete; its children still ran, seeded from the partial list.
+  // Every config starts at once, so the first shard task to run may belong
+  // to any config; the error names it ("joint/shard_task <node>/<shard>").
+  // Exactly that config is incomplete; its children still ran and folded
+  // in the partial list.
   EXPECT_EQ(joint.task_error.code(), StatusCode::kInternal);
-  EXPECT_NE(joint.task_error.message().find("joint/shard_task"),
-            std::string::npos)
-      << joint.task_error.ToString();
+  const std::string& message = joint.task_error.message();
+  const std::string tag = "joint/shard_task ";
+  const size_t at = message.find(tag);
+  ASSERT_NE(at, std::string::npos) << joint.task_error.ToString();
+  const size_t faulted = std::stoul(message.substr(at + tag.size()));
+  ASSERT_LT(faulted, joint.per_config.size());
   EXPECT_TRUE(joint.truncated);
   size_t incomplete = 0;
   for (size_t i = 0; i < joint.per_config.size(); ++i) {
     if (!joint.per_config[i].completed) {
       ++incomplete;
-      EXPECT_EQ(i, 0u);  // The root.
+      EXPECT_EQ(i, faulted);
     }
   }
   EXPECT_EQ(incomplete, 1u);

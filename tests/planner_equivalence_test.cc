@@ -445,6 +445,20 @@ TEST(JointPlannerTest, PlannerRunMatchesExplicitQRun) {
   EXPECT_EQ(replay.plan.hybrid, with_planner.plan.hybrid);
   EXPECT_EQ(replay.plan.prefilter_threshold,
             with_planner.plan.prefilter_threshold);
+
+  // The executor plans in two steps (the probe wave up front, the hybrid
+  // step inside the root config's task), yet returns the whole plan:
+  // exactly what PlanTopKJoin gives on the root view, so a service caches
+  // the same plan either way.
+  PlannerOptions planner_options;
+  planner_options.k = planned.k;
+  planner_options.measure = planned.measure;
+  planner_options.seed = planned.planner_seed;
+  planner_options.max_shards = planned.num_threads;
+  const ConfigView root_view = corpus.MakeConfigView(tree.nodes[0].mask);
+  ExpectSamePlan(with_planner.plan,
+                 PlanTopKJoin(corpus, root_view, planner_options),
+                 "executor vs PlanTopKJoin");
 }
 
 }  // namespace

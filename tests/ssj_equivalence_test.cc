@@ -1,8 +1,9 @@
 // Randomized equivalence harness for the QJoin engine: RunTopKJoin must
 // match BruteForceTopK(min_overlap = q) — the exact top-k restricted to
 // pairs sharing at least q tokens — across every SetMeasure, q in 1..4,
-// the seeded/excluded variants, merged shard sub-joins, and long rows whose
-// shared tokens all sit past position 64.
+// the seeded/excluded variants, merged shard sub-joins, long rows whose
+// shared tokens all sit past position 64, and the identity between a seeded
+// join and an unseeded one merged with the seed afterwards.
 // Scores must agree exactly (both sides use the same merge + count
 // arithmetic), and so must pair identity at every rank: both sides keep the
 // canonical k-minimum under (score desc, pair asc), so even equal-score
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "joint/parent_merge.h"
 #include "ssj/corpus.h"
 #include "ssj/topk_join.h"
 #include "table/table.h"
@@ -175,6 +177,69 @@ TEST_P(SsjEquivalenceTest, MatchesBruteForceSeededAndMerged) {
   TopKList got = RunTopKJoin(view, options, nullptr, &seed);
   ExpectSameTopK(got, BruteForceTopK(view, options.k, measure(), nullptr,
                                      q()));
+}
+
+// The joint executor's schedule rests on top-k being decomposable: a join
+// seeded with S returns topk(Q ∪ S), Q being the view's q-eligible pair
+// space, and an unseeded join whose list is merged with S afterwards
+// returns topk(topk(Q) ∪ S) — the same list. S is a parent config's list
+// re-adjusted to the child view, as the executor builds it, so it holds
+// pairs below the child's q-overlap floor as well.
+TEST_P(SsjEquivalenceTest, SeededJoinEqualsUnseededMergedWithSeed) {
+  Rng rng(4000 + static_cast<uint64_t>(measure()) * 10 + q());
+  Schema schema({{"name", AttributeType::kString},
+                 {"desc", AttributeType::kString}});
+  Table a(schema), b(schema);
+  auto words = [&](size_t n) {
+    std::string text;
+    for (size_t t = 0; t < n; ++t) {
+      if (t > 0) text += ' ';
+      text += "w" + std::to_string(rng.NextZipf(40, 0.8));
+    }
+    return text;
+  };
+  for (size_t i = 0; i < 80; ++i) {
+    a.AddRow({words(1 + rng.NextBelow(4)), words(rng.NextBelow(6))});
+    b.AddRow({words(1 + rng.NextBelow(4)), words(rng.NextBelow(6))});
+  }
+  SsjCorpus corpus = SsjCorpus::Build(a, b, {0, 1});
+  ConfigView parent_view = corpus.MakeConfigView(0b11);
+  ConfigView view = corpus.MakeConfigView(0b01);
+
+  // The parent's list: its top pairs plus random ones, scored under the
+  // parent config, then re-adjusted to the child.
+  TopKJoinOptions parent_options;
+  parent_options.k = 30;
+  parent_options.measure = measure();
+  std::vector<ScoredPair> parent =
+      RunTopKJoin(parent_view, parent_options).SortedDescending();
+  DirectPairScorer parent_scorer(&parent_view, measure());
+  for (size_t n = 0; n < 30; ++n) {
+    const RowId i = static_cast<RowId>(rng.NextBelow(80));
+    const RowId j = static_cast<RowId>(rng.NextBelow(80));
+    parent.push_back(ScoredPair{MakePairId(i, j), parent_scorer.Score(i, j)});
+  }
+  DirectPairScorer scorer(&view, measure());
+  const std::vector<ScoredPair> seed = ReadjustToConfig(parent, view, scorer);
+  size_t below_floor = 0;
+  for (const ScoredPair& entry : seed) {
+    if (OverlapOf(view, PairRowA(entry.pair), PairRowB(entry.pair)) < q()) {
+      ++below_floor;
+    }
+  }
+  EXPECT_GT(below_floor, 0u);
+
+  for (size_t k : {size_t{5}, size_t{25}, size_t{60}}) {
+    TopKJoinOptions options;
+    options.k = k;
+    options.measure = measure();
+    options.q = q();
+    TopKList want(k);
+    want.MergeFrom(RunTopKJoin(view, options).SortedDescending());
+    want.MergeFrom(seed);
+    ExpectSameTopK(RunTopKJoin(view, options, nullptr, &seed), want,
+                   "k=" + std::to_string(k));
+  }
 }
 
 // The joint executor's shard tasks: the shard sub-join lists of one config,

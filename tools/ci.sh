@@ -89,6 +89,16 @@ for config in asan ubsan; do
       -R 'SsjEquivalence|ThresholdJoin|JointDeterminism'
 done
 
+# Joint schedule: every config starts at once, and a config whose parent was
+# not final at its start folds the parent's list in once both its own join
+# and the parent have ended (a per-node pending count; the last of the two
+# events runs the finish step). Which event comes last depends on the
+# interleaving, so the suites that pin the lists, the skip and the fault
+# paths are repeated under TSan to shake out races in that handshake.
+echo "==== [joint-schedule] joint scheduler suites under TSan, repeated ===="
+"${build_root}/tsan/tests/mc_tests" --gtest_repeat=20 \
+    --gtest_filter='JointDeterminism*:JointFaultTolerance*:ThresholdJoinExecutor*:JointShardFault*'
+
 # Planner equivalence: the cost-based join planner must pick plans whose
 # execution is bit-identical to running the same plan directly, across
 # measures, k values, hybrid prefilter paths (done + forced restart), and
